@@ -9,6 +9,7 @@ byte-for-byte. Exit status: 0 success, 1 usage error, 2 data error,
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import asdict
 from typing import Optional
@@ -40,10 +41,13 @@ __all__ = ["main", "console_main"]
 # ---------------------------------------------------------------------------
 
 def _jsonify(value):
+    """Plain JSON values; non-finite floats (undefined statistics) become null."""
     if isinstance(value, np.ndarray):
-        return value.tolist()
+        return _jsonify(value.tolist())
     if isinstance(value, (np.floating, np.integer)):
-        return value.item()
+        value = value.item()
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
     if isinstance(value, dict):
         return {k: _jsonify(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -52,7 +56,7 @@ def _jsonify(value):
 
 
 def _dump_json(document: dict) -> str:
-    return json.dumps(_jsonify(document), indent=2, sort_keys=True)
+    return json.dumps(_jsonify(document), indent=2, sort_keys=True, allow_nan=False)
 
 
 def _write_json(path: str, document: dict) -> None:
@@ -135,7 +139,7 @@ def _write_dataset(dataset: PanelDataset, path: str, command: str, config: dict)
 
 
 def _dump_json_line(document: dict) -> str:
-    return json.dumps(_jsonify(document), sort_keys=True)
+    return json.dumps(_jsonify(document), sort_keys=True, allow_nan=False)
 
 
 def _parse_taus(text: Optional[str], kind: ModelKind) -> TauGrid:
@@ -289,6 +293,7 @@ def _fit_artifact(command: str, config: dict, trained, dataset: PanelDataset) ->
         fits.append({
             "taus": list(grid.taus),
             "weights": list(grid.weights),
+            "tau_bar": grid.tau_bar,
             "params": _params_to_dict(fit_result.params),
             "final_objective": fit_result.final_objective,
             "restart_index": fit_result.restart_index,

@@ -142,6 +142,16 @@ class TauGrid:
     def weight_array(self) -> np.ndarray:
         return np.array(self.weights, dtype=float)
 
+    @property
+    def tau_bar(self) -> float:
+        """Weighted mean level sum_k w_k tau_k.
+
+        Both check losses are linear in tau on each sign of the residual, so
+        sum_k w_k rho_{tau_k}(u) == rho_{tau_bar}(u) for every u: a composite
+        objective without per-level intercepts fits this single level.
+        """
+        return math.fsum(w * t for t, w in zip(self.taus, self.weights))
+
     @classmethod
     def single(cls, tau: float) -> "TauGrid":
         """One quantile level with unit weight."""

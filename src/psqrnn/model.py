@@ -159,27 +159,27 @@ class _Evaluation(NamedTuple):
 def _evaluate(design: PanelDesign, params: ModelParameters, kind: ModelKind,
               grid: TauGrid, penalties: PenaltyConfig, epsilon: float,
               want_grad: bool) -> _Evaluation:
-    taus = grid.tau_array()
-    weights = grid.weight_array()
-    k = grid.k
+    tau_bar = grid.tau_bar
     n, t = design.n_individuals, design.n_periods
-    scale = 1.0 / (k * n * t)
+    scale = 1.0 / (grid.k * n * t)
 
     pred = _linear_part(design, params, kind)
     if kind.uses_network:
         if params.net is None:
             raise ValueError(f"kind {kind.value!r} requires network parameters")
-        ann, _ = network.forward_batch(params.net, design.x)
+        ann, cache = network.forward_batch(params.net, design.x)
         pred += ann
 
     resid = design.y - pred
     if not np.all(np.isfinite(resid)):
         raise ArithmeticError("non-finite residuals in objective evaluation")
 
-    # (rows, K) smoothed check losses; reduce per individual first so the
-    # final compensated sum is invariant to individual ordering.
-    loss = weights * losses.smoothed_pinball(resid[:, None], taus, epsilon)
-    per_individual = loss.reshape(n, t, k).sum(axis=(1, 2))
+    # Without per-level intercepts the K weighted check losses of a residual
+    # sum to the one loss at tau_bar (see TauGrid.tau_bar). Reduce per
+    # individual first so the final compensated sum is invariant to
+    # individual ordering.
+    loss = losses.smoothed_pinball(resid, tau_bar, epsilon)
+    per_individual = loss.reshape(n, t).sum(axis=1)
     data_term = math.fsum(per_individual.tolist()) * scale
 
     value = data_term
@@ -202,8 +202,7 @@ def _evaluate(design: PanelDesign, params: ModelParameters, kind: ModelKind,
     if not want_grad:
         return _Evaluation(value, data_term, None)
 
-    dloss = weights * losses.smoothed_pinball_deriv(resid[:, None], taus, epsilon)
-    s = dloss.sum(axis=1) * scale
+    s = losses.smoothed_pinball_deriv(resid, tau_bar, epsilon) * scale
     grad_beta = np.zeros(params.beta.size)
     grad_alpha = np.zeros(params.alpha.size)
     grad_net = None
@@ -215,7 +214,7 @@ def _evaluate(design: PanelDesign, params: ModelParameters, kind: ModelKind,
                 losses.huber_deriv(params.alpha, epsilon), dtype=float
             ) / n
     if kind.uses_network:
-        _, grad_net, _ = network.backward_batch(params.net, design.x, -s)
+        grad_net, _ = network.backward_batch(params.net, cache, -s)
         if penalties.lambda2 > 0.0:
             for l in range(params.net.spec.n_hidden_layers):
                 grad_net.weights[l] += (

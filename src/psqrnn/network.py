@@ -256,23 +256,27 @@ def forward(params: NetworkParameters, x) -> float:
     return float(out[0])
 
 
-def backward_batch(params: NetworkParameters, x: np.ndarray, cotangent: np.ndarray,
+def backward_batch(params: NetworkParameters, cache, cotangent: np.ndarray,
                    with_input_grad: bool = False):
     """Reverse-mode pass: gradients of sum(cotangent * output) over a batch.
 
+    ``cache`` is what :func:`forward_batch` returned for these parameters; its
+    activations start with the input batch, so no forward pass is rerun.
+
     Returns
     -------
-    out : ndarray, shape (n,)
     grads : NetworkParameters
         Same shapes as ``params``; gradients summed over the batch.
     input_grad : ndarray or None
         d(sum)/dx of shape (n, input_dim) when requested.
     """
     spec = params.spec
+    pre, acts = cache
     cotangent = np.asarray(cotangent, dtype=float)
-    out, (pre, acts) = forward_batch(params, x)
-    if cotangent.shape != out.shape:
-        raise ValueError(f"cotangent has shape {cotangent.shape}, expected {out.shape}")
+    if cotangent.shape != (acts[0].shape[0],):
+        raise ValueError(
+            f"cotangent has shape {cotangent.shape}, expected ({acts[0].shape[0]},)"
+        )
     n_layers = spec.n_hidden_layers
     grad_w = [None] * (n_layers + 1)
     grad_b = [None] * n_layers
@@ -286,7 +290,7 @@ def backward_batch(params: NetworkParameters, x: np.ndarray, cotangent: np.ndarr
         if l > 0 or with_input_grad:
             upstream = dz @ params.weights[l].T
     grads = NetworkParameters(spec, grad_w, grad_b)
-    return out, grads, (upstream if with_input_grad else None)
+    return grads, (upstream if with_input_grad else None)
 
 
 def backward(params: NetworkParameters, x, with_input_grad: bool = False):
@@ -297,7 +301,8 @@ def backward(params: NetworkParameters, x, with_input_grad: bool = False):
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise ValueError(f"expected a 1-d input vector, got shape {x.shape}")
-    out, grads, gx = backward_batch(params, x[None, :], np.ones(1), with_input_grad)
+    out, cache = forward_batch(params, x[None, :])
+    grads, gx = backward_batch(params, cache, np.ones(1), with_input_grad)
     if with_input_grad:
         return float(out[0]), grads, gx[0]
     return float(out[0]), grads

@@ -187,11 +187,14 @@ def _parse_cell(text: str, line: int, column: str) -> tuple[float, bool]:
     if text in _MISSING_TOKENS:
         return math.nan, True
     try:
-        return float(text), False
+        value = float(text)
     except ValueError:
         raise DataError(
             f"line {line}, column {column!r}: cannot parse {text!r} as a number"
         ) from None
+    if not math.isfinite(value):
+        raise DataError(f"line {line}, column {column!r}: non-finite value {text!r}")
+    return value, False
 
 
 def ingest(path, schema: PanelSchema = DEFAULT_SCHEMA, delimiter: str = ",") -> PanelDataset:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import OptimizeResult, minimize
 
 from . import model, network
 from .errors import ConfigError, TrainingError
@@ -133,16 +133,27 @@ class _Guard:
             ) from exc
 
 
-def _minimize_stage(value_and_grad, value_only, x0, config: TrainConfig):
-    """Run one inner optimization; returns (x, iterations, objective path)."""
-    if config.optimizer == "lbfgs":
-        path = [value_only(x0)]
+def _minimize_stage(value_and_grad, x0, config: TrainConfig):
+    """Run one inner optimization; returns (OptimizeResult, objective path).
 
-        def track(xk):
-            path.append(value_only(xk))
+    The result's ``fun`` and ``jac`` are the value and gradient at its ``x``;
+    the path holds the value at x0 and after every iteration. Each value comes
+    from an evaluation the optimizer made anyway.
+    """
+    if config.optimizer == "lbfgs":
+        path = []
+
+        def fun(x):
+            value, grad = value_and_grad(x)
+            if not path:  # L-BFGS-B evaluates x0 first
+                path.append(value)
+            return value, grad
+
+        def track(intermediate_result):
+            path.append(float(intermediate_result.fun))
 
         result = minimize(
-            value_and_grad,
+            fun,
             x0,
             jac=True,
             method="L-BFGS-B",
@@ -153,19 +164,19 @@ def _minimize_stage(value_and_grad, value_only, x0, config: TrainConfig):
                 "ftol": 1e-12,
             },
         )
-        return np.asarray(result.x, dtype=float), int(result.nit), path
+        return result, path
 
     x = np.asarray(x0, dtype=float).copy()
-    path = [value_only(x)]
+    path = []
     iterations = 0
-    for _ in range(config.max_iters_per_stage):
-        _, grad = value_and_grad(x)
-        if np.max(np.abs(grad)) <= config.grad_tol:
+    while True:
+        value, grad = value_and_grad(x)
+        path.append(value)
+        if iterations == config.max_iters_per_stage or np.max(np.abs(grad)) <= config.grad_tol:
             break
         x = x - config.gd_step * grad
         iterations += 1
-        path.append(value_only(x))
-    return x, iterations, path
+    return OptimizeResult(x=x, fun=value, jac=grad, nit=iterations, nfev=iterations + 1), path
 
 
 def fit(dataset, kind: ModelKind, grid: TauGrid, penalties: PenaltyConfig,
@@ -210,19 +221,14 @@ def fit(dataset, kind: ModelKind, grid: TauGrid, penalties: PenaltyConfig,
     n = design.n_individuals
     eps_values = epsilon_sequence(config.schedule)
 
-    def closures(epsilon):
+    def value_and_grad_at(epsilon):
         def value_and_grad(x):
             params = model.unpack_parameters(x, kind, q, n, net_spec)
             ev = model._evaluate(design, params, kind, grid, penalties, epsilon,
                                  want_grad=True)
             return ev.value, model.pack_parameters(ev.gradient, kind)
 
-        def value_only(x):
-            params = model.unpack_parameters(x, kind, q, n, net_spec)
-            return model._evaluate(design, params, kind, grid, penalties, epsilon,
-                                   want_grad=False).value
-
-        return _Guard(value_and_grad, epsilon), _Guard(value_only, epsilon)
+        return _Guard(value_and_grad, epsilon)
 
     best: Optional[FitResult] = None
     restart_objectives = []
@@ -236,11 +242,11 @@ def fit(dataset, kind: ModelKind, grid: TauGrid, penalties: PenaltyConfig,
         x = model.pack_parameters(start, kind)
         trace = []
         for epsilon in eps_values:
-            value_and_grad, value_only = closures(epsilon)
-            x, iterations, path = _minimize_stage(value_and_grad, value_only, x, config)
-            trace.append(StageRecord(epsilon, iterations, path[-1], path))
-        final_vg, _ = closures(eps_values[-1])
-        final_value, final_grad = final_vg(x)
+            result, path = _minimize_stage(value_and_grad_at(epsilon), x, config)
+            x = result.x
+            trace.append(StageRecord(epsilon, int(result.nit), float(result.fun), path))
+        # The last stage runs at eps_end: its result is the restart's final state.
+        final_value, final_grad = float(result.fun), result.jac
         converged = bool(
             final_grad.size == 0 or np.max(np.abs(final_grad)) <= config.grad_tol
         )

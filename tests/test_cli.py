@@ -103,6 +103,38 @@ class TestIngest:
         code = run(["ingest", "--input", str(path)])
         assert code == 2
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-Infinity"])
+    def test_non_finite_cell_names_row(self, tmp_path, capsys, token):
+        path = tmp_path / "p.csv"
+        run(["synth", "--output", str(path), "--seed", "1",
+             "--n-individuals", "2", "--n-periods", "2"])
+        lines = path.read_text().splitlines()
+        cells = lines[3].split(",")
+        cells[2] = token
+        lines[3] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run(["ingest", "--input", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "line " in err and "column 'y'" in err and token in err
+
+    def test_undefined_moments_are_strict_json_null(self, tmp_path, capsys):
+        # Two individuals: every period has fewer than 3 observations, so
+        # skewness and kurtosis are undefined.
+        path = tmp_path / "p.csv"
+        run(["synth", "--output", str(path), "--seed", "1",
+             "--n-individuals", "2", "--n-periods", "3"])
+        capsys.readouterr()
+        assert run(["ingest", "--input", str(path)]) == 0
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        doc = json.loads(capsys.readouterr().out, parse_constant=reject)
+        for stats in doc["summary"]["variables"].values():
+            assert stats["skewness_by_period"] == [None] * 3
+            assert stats["kurtosis_by_period"] == [None] * 3
+
     def test_canonical_output_reingestable(self, synth_csv, tmp_path, capsys):
         out = tmp_path / "canonical.csv"
         assert run(["ingest", "--input", str(synth_csv), "--output", str(out)]) == 0
@@ -157,6 +189,8 @@ class TestTrain:
         taus = doc["fits"][0]["taus"]
         assert len(taus) == 50
         assert taus[0] == 0.01 and abs(taus[-1] - 0.99) < 1e-12
+        # The symmetric default grid fits the median.
+        assert abs(doc["fits"][0]["tau_bar"] - 0.5) < 1e-15
 
     def test_per_tau(self, synth_csv, tmp_path):
         art = tmp_path / "fit.json"
@@ -166,6 +200,7 @@ class TestTrain:
         doc = json.loads(art.read_text())
         assert len(doc["fits"]) == 2
         assert doc["fits"][0]["taus"] == [0.2]
+        assert [f["tau_bar"] for f in doc["fits"]] == [0.2, 0.8]
 
     def test_usage_error_exit_code(self, synth_csv, tmp_path):
         assert run(["train", "--input", str(synth_csv),

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -235,6 +237,52 @@ class TestObjectiveGradient:
         grad = objective_gradient(params, ModelKind.LINEAR, ds, TauGrid.single(0.4),
                                   PenaltyConfig(), 0.1)
         assert grad.net is None
+
+
+class TestCompositeCollapse:
+    """The data term at tau_bar against the K-column form it replaced."""
+
+    @staticmethod
+    def k_column_oracle(design, params, grid, eps):
+        # One smoothed check-loss column per level, weighted and summed.
+        ann, cache = network.forward_batch(params.net, design.x)
+        resid = design.y - (design.z @ params.beta + params.alpha[design.individual] + ann)
+        taus, weights = grid.tau_array(), grid.weight_array()
+        n, t, k = design.n_individuals, design.n_periods, grid.k
+        scale = 1.0 / (k * n * t)
+        loss = weights * losses.smoothed_pinball(resid[:, None], taus, eps)
+        value = math.fsum(loss.reshape(n, t, k).sum(axis=(1, 2)).tolist()) * scale
+        s = (weights * losses.smoothed_pinball_deriv(resid[:, None], taus, eps)).sum(axis=1)
+        s = s * scale
+        grad_net, _ = network.backward_batch(params.net, cache, -s)
+        blocks = [-(design.z.T @ s), -s.reshape(n, t).sum(axis=1),
+                  *grad_net.weights, *grad_net.biases]
+        return value, blocks
+
+    @pytest.mark.parametrize("grid", [
+        TauGrid.dense_grid(),
+        TauGrid.equally_spaced(9),
+        TauGrid((0.3, 0.5, 0.8), (0.2, 0.3, 0.5)),
+    ], ids=["dense", "equally9", "weighted3"])
+    @pytest.mark.parametrize("eps", [0.3, 2.0 ** -8, 2.0 ** -32])
+    def test_matches_k_column_form(self, rng, grid, eps):
+        ds, spec = random_instance(rng, 6, 7, 2, 3)
+        design = PanelDesign.from_dataset(ds)
+        params = ModelParameters(rng.standard_normal(2), rng.standard_normal(6),
+                                 network.init_parameters(spec, 5))
+        ev = model._evaluate(design, params, ModelKind.PSQRNN, grid, PenaltyConfig(), eps,
+                             want_grad=True)
+        value, blocks = self.k_column_oracle(design, params, grid, eps)
+        assert abs(ev.value - value) <= 1e-12 * abs(value)
+        got = [ev.gradient.beta, ev.gradient.alpha,
+               *ev.gradient.net.weights, *ev.gradient.net.biases]
+        for a, b in zip(got, blocks, strict=True):
+            assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+    def test_tau_bar(self):
+        assert TauGrid.single(0.3).tau_bar == 0.3
+        assert TauGrid((0.3, 0.5, 0.8), (0.2, 0.3, 0.5)).tau_bar == pytest.approx(0.61)
+        assert TauGrid.dense_grid().tau_bar == pytest.approx(0.5, abs=1e-15)
 
 
 class TestPackUnpack:

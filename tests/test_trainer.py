@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from conftest import interval_distance, make_panel, quantile_interval
+from psqrnn import model, trainer
 from psqrnn.errors import ConfigError, DataError, TrainingError
 from psqrnn.losses import TauGrid
-from psqrnn.model import ModelKind, PenaltyConfig, objective
+from psqrnn.model import ModelKind, PenaltyConfig, objective, unpack_parameters
 from psqrnn.network import NetworkSpec
 from psqrnn.trainer import (
     AnnealSchedule,
@@ -154,6 +155,68 @@ class TestFit:
         free = fit(ds, ModelKind.LINEAR, grid, PenaltyConfig(0.0, 0), None, FAST)
         mild = fit(ds, ModelKind.LINEAR, grid, PenaltyConfig(10.0, 0), None, FAST)
         assert np.sum(np.abs(mild.params.alpha)) <= np.sum(np.abs(free.params.alpha))
+
+
+class TestEvaluationBudget:
+    """Every objective evaluation inside a fit is one the optimizer asked for."""
+
+    @staticmethod
+    def record_calls(monkeypatch):
+        evaluations, stages = [], []
+        evaluate, minimize = model._evaluate, trainer.minimize
+
+        def counting_evaluate(*args, **kwargs):
+            evaluations.append(kwargs["want_grad"])
+            return evaluate(*args, **kwargs)
+
+        def recording_minimize(*args, **kwargs):
+            result = minimize(*args, **kwargs)
+            stages.append(result)
+            return result
+
+        monkeypatch.setattr(model, "_evaluate", counting_evaluate)
+        monkeypatch.setattr(trainer, "minimize", recording_minimize)
+        return evaluations, stages
+
+    def test_network_fit_evaluates_once_per_optimizer_call(self, rng, monkeypatch):
+        ds = make_panel(rng.standard_normal((3, 6)), z=rng.standard_normal((3, 6, 1)),
+                        x=rng.standard_normal((3, 6, 2)))
+        evaluations, stages = self.record_calls(monkeypatch)
+        cfg = TrainConfig(restarts=2, seed=0, max_iters_per_stage=20)
+        fit(ds, ModelKind.PSQRNN, TauGrid.dense_grid(), PenaltyConfig(0.01, 0.01),
+            NetworkSpec(2, (3,)), cfg)
+        assert len(stages) == 2 * len(epsilon_sequence(cfg.schedule))
+        assert len(evaluations) == sum(r.nfev for r in stages)
+        assert all(evaluations)
+
+    def test_stage_objective_is_value_at_stage_end(self, rng, monkeypatch):
+        ds = make_panel(rng.standard_normal((3, 6)), x=rng.standard_normal((3, 6, 2)))
+        _, stages = self.record_calls(monkeypatch)
+        spec, grid, pen = NetworkSpec(2, (3,)), TauGrid.equally_spaced(3), PenaltyConfig(0.1, 0.1)
+        result = fit(ds, ModelKind.PSQRNN, grid, pen, spec,
+                     TrainConfig(restarts=1, seed=0, max_iters_per_stage=15))
+        for record, stage in zip(result.stage_trace, stages, strict=True):
+            end = unpack_parameters(stage.x, ModelKind.PSQRNN, 0, 3, spec)
+            value = objective(end, ModelKind.PSQRNN, ds, grid, pen, record.epsilon)
+            assert record.objective == pytest.approx(value, rel=1e-13, abs=0.0)
+            assert record.objective_path[-1] == record.objective
+            assert len(record.objective_path) == record.iterations + 1
+        assert result.final_objective == result.stage_trace[-1].objective
+
+    @pytest.mark.parametrize("max_iters, capped", [(5, True), (10_000, False)])
+    def test_gd_stage_evaluates_iterations_plus_one(self, max_iters, capped):
+        calls = []
+
+        def value_and_grad(x):
+            calls.append(x.copy())
+            return float(np.sum((x - 1.0) ** 2)), 2.0 * (x - 1.0)
+
+        cfg = TrainConfig(optimizer="gd", gd_step=0.25, max_iters_per_stage=max_iters)
+        result, path = trainer._minimize_stage(value_and_grad, np.zeros(3), cfg)
+        assert len(calls) == result.nit + 1 == len(path)
+        assert (result.nit == max_iters) == capped
+        assert (np.max(np.abs(result.jac)) <= cfg.grad_tol) != capped
+        assert path[-1] == result.fun and np.array_equal(result.x, calls[-1])
 
 
 class TestFitPerTau:
