@@ -546,34 +546,29 @@ def _read_predictions(path: str, tau: Optional[str]) -> dict:
 def cmd_evaluate(args) -> int:
     predictions = _read_predictions(args.predictions, args.tau)
     actuals_ds = _load_dataset(args.actuals, args)
-    individuals = []
+    individuals = list(dict.fromkeys(individual for individual, _ in predictions))
     periods = sorted({period for _, period in predictions})
-    for individual, _ in predictions:
-        if individual not in individuals:
-            individuals.append(individual)
     missing_pairs = [
         (ind, per) for ind in individuals for per in periods
         if (ind, per) not in predictions
     ]
     if missing_pairs:
         raise DataError(f"predictions are not a full grid; missing {missing_pairs[:10]}")
-    unknown = [i for i in individuals if i not in actuals_ds.individuals]
+    row_of = {ind: i for i, ind in enumerate(actuals_ds.individuals)}
+    col_of = {per: j for j, per in enumerate(actuals_ds.periods)}
+    unknown = [i for i in individuals if i not in row_of]
     if unknown:
         raise DataError(f"actuals file lacks individuals {unknown}")
-    bad_periods = [p for p in periods if p not in actuals_ds.periods]
+    bad_periods = [p for p in periods if p not in col_of]
     if bad_periods:
         raise DataError(f"actuals file lacks periods {bad_periods}")
     y, y_mask = actuals_ds.column(actuals_ds.response_name)
-    pred = np.empty((len(individuals), len(periods)))
-    act = np.empty_like(pred)
-    for a, ind in enumerate(individuals):
-        i = actuals_ds.individuals.index(ind)
-        for b, per in enumerate(periods):
-            j = actuals_ds.periods.index(per)
-            if y_mask[i, j]:
-                raise DataError(f"actual response missing for ({ind}, {per})")
-            pred[a, b] = predictions[(ind, per)]
-            act[a, b] = y[i, j]
+    cells = np.ix_([row_of[ind] for ind in individuals], [col_of[per] for per in periods])
+    if y_mask[cells].any():
+        a, b = np.argwhere(y_mask[cells])[0]
+        raise DataError(f"actual response missing for ({individuals[a]}, {periods[b]})")
+    act = y[cells]
+    pred = np.array([[predictions[(ind, per)] for per in periods] for ind in individuals])
     rep = metrics.report(act, pred)
     config = {
         "command": "evaluate", "predictions": args.predictions, "actuals": args.actuals,

@@ -7,12 +7,13 @@ Datasets are treated as immutable: every operation returns a new value.
 """
 
 import csv
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import stats
 
 from .errors import ConfigError, DataError
 
@@ -38,6 +39,8 @@ __all__ = [
 
 #: Strings treated as a missing cell on ingest.
 _MISSING_TOKENS = ("", "NA")
+#: What a missing cell parses as; other (stripped) cells parse as themselves.
+_MISSING_FILL = dict.fromkeys(_MISSING_TOKENS, "nan")
 
 #: Forecast horizon and feature lag of the canonical split protocols.
 HORIZON = 5
@@ -197,77 +200,152 @@ def _parse_cell(text: str, line: int, column: str) -> tuple[float, bool]:
     return value, False
 
 
+def _parse_period(text: str, line: int, column: str) -> int:
+    text = text.strip()
+    try:
+        return int(text)
+    except ValueError:
+        raise DataError(
+            f"line {line}, column {column!r}: cannot parse {text!r} as an integer period"
+        ) from None
+
+
+_is_comment = operator.methodcaller("startswith", "#")
+
+
+class _NumberedLines:
+    """The lines of a file that are not comments, counting physical lines.
+
+    ``number`` is the physical line number of the last line handed out, so
+    after a csv reader yields a record it is the line the record ends on.
+    """
+
+    def __init__(self, handle):
+        self.handle = handle
+        self.number = 0
+
+    def __iter__(self):
+        for line in self.handle:
+            self.number += 1
+            if not _is_comment(line):
+                yield line
+
+
+def _first_row_error(path, delimiter: str, schema: PanelSchema,
+                     index: dict, width: int, value_cols: list) -> DataError:
+    """Re-read the file row by row and return the first malformed row's error.
+
+    Only called once the columnar pass in :func:`ingest` has found a
+    problem, to name its physical line and column.
+    """
+    seen = set()
+    with open(path, encoding="utf-8", newline="") as handle:
+        lines = _NumberedLines(handle)
+        reader = csv.reader(lines, delimiter=delimiter)
+        next(reader)
+        try:
+            for row in reader:
+                line = lines.number
+                if not "".join(row).strip():
+                    continue
+                if len(row) != width:
+                    return DataError(f"line {line}: {len(row)} fields, header has {width}")
+                period = _parse_period(row[index[schema.period]], line, schema.period)
+                key = (row[index[schema.individual]].strip(), period)
+                if key in seen:
+                    return DataError(f"line {line}: duplicate row for {key}")
+                seen.add(key)
+                for name in value_cols:
+                    _parse_cell(row[index[name]], line, name)
+        except DataError as exc:
+            return exc
+    raise AssertionError(f"{path}: no malformed row found")
+
+
+def _codes(labels: list) -> tuple[list, np.ndarray]:
+    """Sorted distinct labels, and each label's position among them."""
+    distinct = sorted(set(labels))
+    position = dict(zip(distinct, range(len(distinct))))
+    return distinct, np.fromiter(map(position.__getitem__, labels), np.intp, len(labels))
+
+
 def ingest(path, schema: PanelSchema = DEFAULT_SCHEMA, delimiter: str = ",") -> PanelDataset:
     """Read a delimited panel file into a balanced dataset.
 
     The file needs a header row with every schema column. Missing cells are
     empty or "NA". Rows are sorted by (individual, period); duplicated or
     absent (individual, period) rows are rejected with their location.
-    Lines starting with '#' are ignored.
+    Lines starting with '#' are ignored; error messages give physical line
+    numbers, comment lines included.
     """
-    rows = {}
     value_cols = [schema.response, *schema.covariate_names()]
     with open(path, encoding="utf-8", newline="") as handle:
-        filtered = (ln for ln in handle if not ln.startswith("#"))
-        reader = csv.reader(filtered, delimiter=delimiter)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        missing_cols = [c for c in (schema.individual, schema.period, *value_cols)
-                        if c not in header]
-        if missing_cols:
-            raise DataError(f"{path}: header lacks required columns {missing_cols}")
-        index = {name: header.index(name) for name in header}
-        for line_no, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != len(header):
-                raise DataError(
-                    f"line {line_no}: {len(row)} fields, header has {len(header)}"
-                )
-            ind = row[index[schema.individual]].strip()
-            period_text = row[index[schema.period]].strip()
-            try:
-                period = int(period_text)
-            except ValueError:
-                raise DataError(
-                    f"line {line_no}, column {schema.period!r}: "
-                    f"cannot parse {period_text!r} as an integer period"
-                ) from None
-            key = (ind, period)
-            if key in rows:
-                raise DataError(f"line {line_no}: duplicate row for {key}")
-            rows[key] = {
-                name: _parse_cell(row[index[name]], line_no, name) for name in value_cols
-            }
+        lines = itertools.filterfalse(_is_comment, handle)
+        records = list(csv.reader(lines, delimiter=delimiter))
+    if not records:
+        raise DataError(f"{path}: empty file")
+    header = [h.strip() for h in records[0]]
+    missing_cols = [c for c in (schema.individual, schema.period, *value_cols)
+                    if c not in header]
+    if missing_cols:
+        raise DataError(f"{path}: header lacks required columns {missing_cols}")
+    index = {name: header.index(name) for name in header}
+    body = records[1:]
+    rows = list(itertools.compress(body, map(str.strip, map("".join, body))))
+
+    def malformed() -> DataError:
+        return _first_row_error(path, delimiter, schema, index, len(header), value_cols)
+
+    if set(map(len, rows)) - {len(header)}:
+        raise malformed()
     if not rows:
         raise DataError(f"{path}: no data rows")
-
-    individuals = tuple(sorted({ind for ind, _ in rows}))
-    periods = tuple(sorted({per for _, per in rows}))
-    gaps = [(ind, per) for ind in individuals for per in periods if (ind, per) not in rows]
-    if gaps:
-        shown = ", ".join(map(str, gaps[:10]))
-        raise DataError(f"unbalanced panel: {len(gaps)} missing rows, e.g. {shown}")
-
+    columns = list(zip(*rows))
+    try:
+        period_values = list(map(int, map(str.strip, columns[index[schema.period]])))
+    except ValueError:
+        raise malformed() from None
+    individuals, row_i = _codes(list(map(str.strip, columns[index[schema.individual]])))
+    periods, row_t = _codes(period_values)
     n, t = len(individuals), len(periods)
-    q, p = len(schema.parametric), len(schema.network)
-    y = np.empty((n, t))
-    z = np.empty((n, t, q))
-    x = np.empty((n, t, p))
-    mask = np.zeros((n, t, 1 + q + p), dtype=bool)
-    for i, ind in enumerate(individuals):
-        for j, per in enumerate(periods):
-            cells = rows[(ind, per)]
-            y[i, j], mask[i, j, 0] = cells[schema.response]
-            for a, name in enumerate(schema.parametric):
-                z[i, j, a], mask[i, j, 1 + a] = cells[name]
-            for a, name in enumerate(schema.network):
-                x[i, j, a], mask[i, j, 1 + q + a] = cells[name]
+    cell = row_i * t + row_t
+    counts = np.bincount(cell, minlength=n * t)
+    if counts.max() > 1:
+        raise malformed()
+
+    values = np.empty((len(rows), len(value_cols)))
+    missing = np.empty(values.shape, dtype=bool)
+    for c, name in enumerate(value_cols):
+        cells = list(map(str.strip, columns[index[name]]))
+        missing[:, c] = np.fromiter(map(_MISSING_TOKENS.__contains__, cells), bool, len(cells))
+        try:
+            values[:, c] = np.fromiter(map(float, map(_MISSING_FILL.get, cells, cells)),
+                                       float, len(cells))
+        except ValueError:
+            raise malformed() from None
+    if not np.isfinite(values[~missing]).all():
+        raise malformed()
+
+    gaps = np.flatnonzero(counts == 0)
+    if gaps.size:
+        shown = ", ".join(str((individuals[k // t], periods[k % t]))
+                          for k in gaps[:10].tolist())
+        raise DataError(f"unbalanced panel: {gaps.size} missing rows, e.g. {shown}")
+
+    # Every (individual, period) cell holds exactly one row: place them.
+    placed = np.empty_like(values)
+    placed_missing = np.empty_like(missing)
+    placed[cell] = values
+    placed_missing[cell] = missing
+    z_cols = [value_cols.index(name) for name in schema.parametric]
+    x_cols = [value_cols.index(name) for name in schema.network]
+    q, p = len(z_cols), len(x_cols)
     return PanelDataset(
-        individuals, periods, y, z, x, mask,
+        individuals, periods,
+        np.ascontiguousarray(placed[:, 0]).reshape(n, t),
+        placed[:, z_cols].reshape(n, t, q),
+        placed[:, x_cols].reshape(n, t, p),
+        placed_missing[:, [0, *z_cols, *x_cols]].reshape(n, t, 1 + q + p),
         response_name=schema.response, z_names=schema.parametric, x_names=schema.network,
         individual_label=schema.individual, period_label=schema.period,
     )
@@ -280,19 +358,23 @@ def emit(dataset: PanelDataset, path, delimiter: str = ",", preamble: str = "") 
     round-trip precision. ``preamble`` lines (if any) are prefixed with '#'.
     """
     names = dataset.physical_names()
-    columns = {name: dataset.column(name) for name in names}
+    t = dataset.n_periods
+    columns = [
+        [ind for ind in dataset.individuals for _ in range(t)],
+        list(map(str, dataset.periods)) * dataset.n_individuals,
+    ]
+    for name in names:
+        values, mask = dataset.column(name)
+        cells = list(map(repr, values.ravel().tolist()))
+        for k in np.flatnonzero(mask.ravel()).tolist():
+            cells[k] = ""
+        columns.append(cells)
     with open(path, "w", encoding="utf-8", newline="") as handle:
         for line in preamble.splitlines():
             handle.write(f"# {line}\n")
         writer = csv.writer(handle, delimiter=delimiter)
         writer.writerow([dataset.individual_label, dataset.period_label, *names])
-        for i, ind in enumerate(dataset.individuals):
-            for j, per in enumerate(dataset.periods):
-                cells = [ind, str(per)]
-                for name in names:
-                    values, mask = columns[name]
-                    cells.append("" if mask[i, j] else repr(float(values[i, j])))
-                writer.writerow(cells)
+        writer.writerows(zip(*columns))
 
 
 def impute_mean(dataset: PanelDataset) -> PanelDataset:
@@ -659,28 +741,28 @@ def generate_synthetic(config: SyntheticConfig, seed: int
 def describe(dataset: PanelDataset) -> dict:
     """Shape, per-variable missingness, and per-period moments of a panel.
 
-    Skewness uses the standard third-moment formula; kurtosis is the
-    non-excess (normal = 3) convention. Both are computed across individuals
-    within each period, over observed cells only.
+    Skewness is m3 / m2^1.5 and kurtosis m4 / m2^2, the non-excess (normal =
+    3) convention, with m_k the k-th central moment across individuals
+    within each period, over observed cells only. Both are undefined (NaN)
+    for a period with fewer than 3 observations or with m2 <= (eps * mean)^2,
+    which covers zero spread and spread lost to round-off.
     """
     variables = {}
     for name in dataset.physical_names():
         values, mask = dataset.column(name)
         observed = ~mask
-        skew = []
-        kurt = []
-        for j in range(dataset.n_periods):
-            col = values[observed[:, j], j]
-            if col.size >= 3 and float(np.std(col)) > 0.0:
-                skew.append(float(stats.skew(col)))
-                kurt.append(float(stats.kurtosis(col, fisher=False)))
-            else:
-                skew.append(math.nan)
-                kurt.append(math.nan)
+        count = observed.sum(axis=0)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            mean = np.where(observed, values, 0.0).sum(axis=0) / count
+            dev = np.where(observed, values - mean, 0.0)
+            m2, m3, m4 = ((dev ** k).sum(axis=0) / count for k in (2, 3, 4))
+            undefined = (count < 3) | (m2 <= (np.finfo(float).eps * mean) ** 2)
+            skew = np.where(undefined, np.nan, m3 / m2 ** 1.5)
+            kurt = np.where(undefined, np.nan, m4 / m2 ** 2)
         variables[name] = {
             "missing_percent": 100.0 * float(mask.mean()),
-            "skewness_by_period": skew,
-            "kurtosis_by_period": kurt,
+            "skewness_by_period": skew.tolist(),
+            "kurtosis_by_period": kurt.tolist(),
         }
     return {
         "n_individuals": dataset.n_individuals,

@@ -170,8 +170,7 @@ def grid_search(dataset, kind: ModelKind, grid: TauGrid, search: SearchGrid,
                         )
                         bic = bic1(inp) if n2 is None else bic2(inp)
                         point = GridPoint(n1, n2, lam1, lam2, avg_loss, bic, "ok")
-                    except (ConfigError, DataError, TrainingError, ArithmeticError,
-                            ValueError) as exc:
+                    except (ConfigError, DataError, TrainingError, ArithmeticError) as exc:
                         point = GridPoint(n1, n2, lam1, lam2, None, None, f"error: {exc}")
                         table.append(point)
                         continue

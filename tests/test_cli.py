@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -116,7 +119,8 @@ class TestIngest:
         capsys.readouterr()
         assert run(["ingest", "--input", str(path)]) == 2
         err = capsys.readouterr().err
-        assert "line " in err and "column 'y'" in err and token in err
+        # lines[3] is physical line 4: the '# {json}' preamble is line 1.
+        assert "line 4, column 'y'" in err and token in err
 
     def test_undefined_moments_are_strict_json_null(self, tmp_path, capsys):
         # Two individuals: every period has fewer than 3 observations, so
@@ -438,6 +442,42 @@ class TestPredictEvaluate:
         assert run(["evaluate", "--predictions", str(pred),
                     "--actuals", str(synth_csv)]) == 2
 
+    def test_evaluate_keeps_first_seen_individual_order(self, synth_csv, tmp_path):
+        pred = tmp_path / "pred.csv"
+        ds = _ingest_embedded(synth_csv)
+        order = list(reversed(ds.individuals))
+        with open(pred, "w") as handle:
+            handle.write("individual,period,tau,predicted\n")
+            for ind in order:
+                for year in (ds.periods[16], ds.periods[15]):
+                    handle.write(f"{ind},{year},,1.0\n")
+        report_path = tmp_path / "report.json"
+        assert run(["evaluate", "--predictions", str(pred), "--actuals", str(synth_csv),
+                    "--output", str(report_path)]) == 0
+        doc = json.loads(report_path.read_text())
+        assert doc["individuals"] == order
+        assert doc["periods"] == [ds.periods[15], ds.periods[16]]
+
+    def test_evaluate_names_first_missing_actual(self, synth_csv, tmp_path, capsys):
+        lines = synth_csv.read_text().splitlines()
+        # Blank the last-period response of the second and third individuals.
+        for k in (1 + 2 * 20, 1 + 3 * 20):
+            cells = lines[k].split(",")
+            cells[2] = ""
+            lines[k] = ",".join(cells)
+        synth_csv.write_text("\n".join(lines) + "\n")
+        ds = _ingest_embedded(synth_csv)
+        pred = tmp_path / "pred.csv"
+        with open(pred, "w") as handle:
+            handle.write("individual,period,tau,predicted\n")
+            for ind in ds.individuals:
+                handle.write(f"{ind},{ds.periods[19]},,1.0\n")
+        capsys.readouterr()
+        assert run(["evaluate", "--predictions", str(pred),
+                    "--actuals", str(synth_csv)]) == 2
+        err = capsys.readouterr().err
+        assert f"actual response missing for ({ds.individuals[1]}, {ds.periods[19]})" in err
+
     def test_series_output(self, synth_csv, tmp_path):
         pred = tmp_path / "pred.csv"
         ds = _ingest_embedded(synth_csv)
@@ -477,6 +517,15 @@ class TestCliMatchesLibrary:
         lib_report = evaluate_split(trained, "test")
         assert cli_report["total_mape"] == lib_report.total_mape
         assert cli_report["total_rrmse"] == lib_report.total_rrmse
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    code = "import sys, psqrnn.cli; print('scipy.stats' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+        os.path.dirname(os.path.dirname(cli.__file__)), os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 def _embedded_schema(path):

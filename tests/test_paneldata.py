@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from scipy import stats
 
 from conftest import assert_datasets_equal, make_panel
+from panel_oracle import emit_cellwise, ingest_rowwise
 from psqrnn.errors import ConfigError, DataError
 from psqrnn.paneldata import (
     DEFAULT_SCHEMA,
@@ -104,6 +108,13 @@ class TestIngest:
         with pytest.raises(DataError):
             ingest(f, TOY_SCHEMA)
 
+    def test_error_names_physical_line(self, tmp_path):
+        f = tmp_path / "toy.csv"
+        f.write_text("# preamble\nprovince,year,EC,GDP,AAT\n# note\n\n"
+                     "Beijing,1999,100,50,12.5\nBeijing,2000,abc,55,12.9\n")
+        with pytest.raises(DataError, match="^line 6, column 'EC'"):
+            ingest(f, TOY_SCHEMA)
+
     def test_round_trip(self, tmp_path):
         f = write_toy(tmp_path / "toy.csv", [
             "Beijing,1999,100.25,50,",
@@ -123,6 +134,140 @@ class TestIngest:
         emit(ds, out)
         again = ingest(out, ds.schema())
         assert_datasets_equal(ds, again)
+
+
+HEADER = ("province", "year", "EC", "GDP", "AAT", "note")
+PAD = st.sampled_from(["", " ", "  ", "\t"])
+
+
+@st.composite
+def panel_lines(draw):
+    """Data rows of a valid TOY_SCHEMA panel, as lists of cells in HEADER order.
+
+    Rows come in shuffled order, periods start anywhere, the schema's cells
+    are padded with whitespace and may be empty or "NA", and an unused
+    "note" column rides along.
+    """
+    individuals = draw(st.lists(st.from_regex(r"[A-Za-z][A-Za-z0-9]{0,3}", fullmatch=True),
+                                min_size=1, max_size=4, unique=True))
+    start = draw(st.integers(-3, 2030))
+    periods = range(start, start + draw(st.integers(1, 4)))
+    value = st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False).map(repr),
+        st.integers(-10 ** 6, 10 ** 6).map(str),
+        st.sampled_from(["", "NA", "1e3", "-0.0", ".5"]),
+    )
+    rows = []
+    for ind in individuals:
+        for per in periods:
+            cells = [draw(PAD) + c + draw(PAD)
+                     for c in (ind, str(per), *(draw(value) for _ in range(3)))]
+            rows.append([*cells, draw(st.text("ab,", max_size=3))])
+    return draw(st.permutations(rows))
+
+
+@st.composite
+def panel_text(draw, rows):
+    """CSV text of ``rows`` under a shuffled header, with comment and blank lines."""
+    order = draw(st.permutations(range(len(HEADER))))
+    lines = [",".join(HEADER[k] for k in order)]
+    for row in rows:
+        cells = [row[k] for k in order if k < len(row)]
+        lines.append(",".join(f'"{c}"' if "," in c else c for c in cells))
+    filler = st.sampled_from(["# note, with commas", '#"quoted', "", "   ", ",,,,,"])
+    for _ in range(draw(st.integers(0, 4))):
+        lines.insert(draw(st.integers(1, len(lines))), draw(filler))
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(0, "# " + draw(st.text("ab ,{}\"", max_size=8)))
+    return "\n".join(lines) + "\n"
+
+
+def corrupt(draw, rows):
+    """Apply one to three faults, each at a random row; return the new rows."""
+    rows = [list(row) for row in rows]
+    for _ in range(draw(st.integers(1, 3))):
+        fault = draw(st.sampled_from(
+            ["duplicate", "gap", "short", "number", "non-finite", "period"]))
+        k = draw(st.integers(0, len(rows) - 1))
+        if fault == "duplicate":
+            rows.insert(draw(st.integers(0, len(rows))), list(rows[k]))
+        elif fault == "gap" and len(rows) > 1:
+            del rows[k]
+        elif fault == "short":
+            rows[k] = rows[k][:-1]
+        elif fault == "number" and len(rows[k]) == len(HEADER):
+            rows[k][draw(st.integers(2, 4))] = draw(st.sampled_from(["abc", "1.2.3", "--1"]))
+        elif fault == "non-finite" and len(rows[k]) == len(HEADER):
+            rows[k][draw(st.integers(2, 4))] = draw(st.sampled_from(["nan", " inf", "-Infinity"]))
+        elif fault == "period" and len(rows[k]) == len(HEADER):
+            rows[k][1] = draw(st.sampled_from(["19x9", "2000.0", ""]))
+    return rows
+
+
+def outcome(parse, path):
+    try:
+        return parse(path, TOY_SCHEMA)
+    except DataError as exc:
+        return str(exc)
+
+
+class TestIngestMatchesRowwiseOracle:
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_valid_panels(self, tmp_path, data):
+        path = tmp_path / "panel.csv"
+        path.write_text(data.draw(panel_text(data.draw(panel_lines()))), encoding="utf-8")
+        expected = ingest_rowwise(path, TOY_SCHEMA)
+        assert_datasets_equal(ingest(path, TOY_SCHEMA), expected)
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_malformed_panels(self, tmp_path, data):
+        path = tmp_path / "panel.csv"
+        rows = corrupt(data.draw, data.draw(panel_lines()))
+        path.write_text(data.draw(panel_text(rows)), encoding="utf-8")
+        expected = outcome(ingest_rowwise, path)
+        got = outcome(ingest, path)
+        if isinstance(expected, str):
+            assert got == expected
+        else:
+            assert_datasets_equal(got, expected)
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty file"),
+        ("# only a comment\n", "empty file"),
+        ("province,year,EC,GDP\n", "header lacks required columns ['AAT']"),
+        ("province,year,EC,GDP,AAT\n\n", "no data rows"),
+    ])
+    def test_file_level_errors(self, tmp_path, text, message):
+        path = tmp_path / "panel.csv"
+        path.write_text(text, encoding="utf-8")
+        got = outcome(ingest, path)
+        assert message in got and got == outcome(ingest_rowwise, path)
+
+
+def masked_synthetic(seed, n=12, t=5, share=0.25):
+    ds, _ = generate_synthetic(SyntheticConfig(n_individuals=n, n_periods=t), seed)
+    rng = np.random.default_rng(seed)
+    ds.missing_mask = rng.random(ds.missing_mask.shape) < share
+    ds.y = np.where(ds.missing_mask[:, :, 0], np.nan, ds.y)
+    return ds
+
+
+class TestEmitMatchesCellwiseOracle:
+    @pytest.mark.parametrize("delimiter, preamble", [
+        (",", '{"a": 1}\nsecond line'),
+        (";", ""),
+    ])
+    def test_same_bytes_with_masked_cells(self, tmp_path, delimiter, preamble):
+        ds = masked_synthetic(4)
+        ds.z[0, 1, 0] = -0.0
+        ds.x[2, 3, 1] = 1e-300
+        emit(ds, tmp_path / "new.csv", delimiter=delimiter, preamble=preamble)
+        emit_cellwise(ds, tmp_path / "old.csv", delimiter=delimiter, preamble=preamble)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
 class TestImputeMean:
@@ -331,6 +476,36 @@ class TestDescribe:
         assert summary["n_individuals"] == 30
         assert f"{summary['variables']['x1']['missing_percent']:.2f}" == "0.33"
         assert summary["variables"]["y"]["missing_percent"] == 0.0
+
+    def test_moments_match_scipy_with_scattered_masks(self):
+        ds = masked_synthetic(7, n=15, t=6, share=0.3)
+        ds.missing_mask[:13, 0, 0] = True  # two observations: undefined
+        ds.y[:, 1] = 3.0  # constant: undefined
+        ds.missing_mask[:, 1, 0] = False
+        summary = describe(ds)
+        for name in ds.physical_names():
+            values, mask = ds.column(name)
+            entry = summary["variables"][name]
+            for j in range(ds.n_periods):
+                col = values[~mask[:, j], j]
+                skew, kurt = entry["skewness_by_period"][j], entry["kurtosis_by_period"][j]
+                if col.size < 3 or np.std(col) == 0.0:
+                    assert np.isnan(skew) and np.isnan(kurt)
+                    continue
+                assert skew == pytest.approx(stats.skew(col), rel=1e-9, abs=1e-12)
+                assert kurt == pytest.approx(stats.kurtosis(col, fisher=False), rel=1e-9)
+        assert np.isnan(summary["variables"]["y"]["skewness_by_period"][0])
+        assert np.isnan(summary["variables"]["y"]["kurtosis_by_period"][1])
+
+    @pytest.mark.filterwarnings("ignore:Precision loss:RuntimeWarning")
+    def test_spread_lost_to_round_off_is_undefined(self):
+        # Three copies of 0.1 have a mean that is not 0.1, so np.std is
+        # positive, but it is round-off: scipy reports NaN, and so does describe.
+        ds = make_panel(np.full((3, 1), 0.1))
+        assert np.std(ds.y[:, 0]) > 0.0
+        summary = describe(ds)
+        assert np.isnan(summary["variables"]["y"]["skewness_by_period"][0])
+        assert np.isnan(stats.skew(ds.y[:, 0]))
 
     def test_moments_present(self):
         ds, _ = generate_synthetic(SyntheticConfig(n_individuals=10, n_periods=4), 5)

@@ -166,6 +166,17 @@ class TestGridSearch:
         assert statuses[2].startswith("error:")
         assert result.best_point.n1 == 1
 
+    def test_programming_error_propagates(self, rng, monkeypatch):
+        ds = small_panel(rng)
+
+        def buggy_fit(*args, **kwargs):
+            raise ValueError("not a fitting failure")
+
+        monkeypatch.setattr("psqrnn.selection.trainer.fit", buggy_fit)
+        with pytest.raises(ValueError, match="not a fitting failure"):
+            grid_search(ds, ModelKind.PSQRNN, TauGrid.single(0.5),
+                        SearchGrid(n1_values=(1,)), NetworkSpec(2, (2,)), FAST)
+
     def test_all_points_failing_raises(self, rng, monkeypatch):
         ds = small_panel(rng)
 
