@@ -13,11 +13,10 @@ from .model import (
     average_check_loss,
     objective,
     objective_gradient,
-    predict,
     predict_panel,
     shrink_report,
 )
-from .network import NetworkParameters, NetworkSpec, backward, forward, init_parameters
+from .network import NetworkParameters, NetworkSpec, init_parameters
 from .paneldata import (
     DEFAULT_SCHEMA,
     PanelDataset,

@@ -11,7 +11,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from typing import Optional
 
 import numpy as np
@@ -114,15 +114,7 @@ def _resolve_schema(path: str, args) -> PanelSchema:
         overrides["parametric"] = tuple(args.parametric.split(","))
     if getattr(args, "network", None):
         overrides["network"] = tuple(args.network.split(","))
-    if overrides:
-        base = PanelSchema(
-            individual=overrides.get("individual", base.individual),
-            period=overrides.get("period", base.period),
-            response=overrides.get("response", base.response),
-            parametric=overrides.get("parametric", base.parametric),
-            network=overrides.get("network", base.network),
-        )
-    return base
+    return replace(base, **overrides)
 
 
 def _load_dataset(path: str, args) -> PanelDataset:
@@ -154,10 +146,6 @@ def _parse_taus(text: Optional[str], kind: ModelKind) -> TauGrid:
     return TauGrid.equally_spaced(count)
 
 
-def _parse_hidden(text: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in text.split(","))
-
-
 def _parse_float_list(text: str) -> tuple[float, ...]:
     return tuple(float(part) for part in text.split(","))
 
@@ -179,7 +167,7 @@ def _run_config(args, command: str, grid: TauGrid) -> dict:
         "kind": args.kind,
         "taus": list(grid.taus),
         "tau_weights": list(grid.weights),
-        "hidden": list(_parse_hidden(args.hidden)),
+        "hidden": list(_parse_int_list(args.hidden)),
         "activation": args.activation,
         "lambda1": args.lambda1,
         "lambda2": args.lambda2,
@@ -189,7 +177,6 @@ def _run_config(args, command: str, grid: TauGrid) -> dict:
         "eps_start": args.eps_start,
         "eps_end": args.eps_end,
         "eps_factor": args.eps_factor,
-        "optimizer": args.optimizer,
         "max_iters": args.max_iters,
         "grad_tol": args.grad_tol,
         "per_tau": bool(getattr(args, "per_tau", False)),
@@ -212,7 +199,6 @@ def _train_config_from(config: dict) -> TrainConfig:
         max_iters_per_stage=config["max_iters"],
         grad_tol=config["grad_tol"],
         seed=config["seed"],
-        optimizer=config["optimizer"],
     )
 
 
@@ -388,7 +374,7 @@ def _prepare_and_train(args, command: str):
     config = _run_config(args, command, grid)
     prepared = pipeline.prepare_scenario(dataset, args.scenario,
                                          standardize=not args.no_standardize)
-    spec = _net_spec_for(kind, _parse_hidden(args.hidden), args.activation,
+    spec = _net_spec_for(kind, _parse_int_list(args.hidden), args.activation,
                          prepared.train.p)
     penalties = PenaltyConfig(args.lambda1, args.lambda2)
     train_config = _train_config_from(config)
@@ -475,7 +461,7 @@ def cmd_predict(args) -> int:
     for fit in artifact["fits"]:
         params = _params_from_dict(fit["params"])
         kind = ModelKind(artifact["config"]["kind"])
-        pred = model.predict_panel(params, kind, _design_no_response(panel))
+        pred = model.predict_panel(params, kind, panel)
         if state is not None:
             pred = paneldata.destandardize_response(pred, state)
         tau_label = "" if len(fit["taus"]) > 1 else repr(fit["taus"][0])
@@ -495,21 +481,6 @@ def cmd_predict(args) -> int:
         writer.writerows(rows)
     print(_dump_json({"written": args.output, "rows": len(rows)}))
     return 0
-
-
-def _design_no_response(panel: PanelDataset) -> model.PanelDesign:
-    """Design view for prediction only; the response may be unobserved."""
-    n, t = panel.n_individuals, panel.n_periods
-    if panel.missing_mask[:, :, 1:].any():
-        raise DataError("covariates contain missing cells; impute before predicting")
-    return model.PanelDesign(
-        z=panel.z.reshape(n * t, panel.q),
-        x=panel.x.reshape(n * t, panel.p),
-        y=np.zeros(n * t),
-        individual=np.repeat(np.arange(n), t),
-        n_individuals=n,
-        n_periods=t,
-    )
 
 
 def _read_predictions(path: str, tau: Optional[str]) -> dict:
@@ -633,7 +604,6 @@ def _add_train_flags(parser) -> None:
     parser.add_argument("--eps-start", type=float, default=2.0 ** -8)
     parser.add_argument("--eps-end", type=float, default=2.0 ** -32)
     parser.add_argument("--eps-factor", type=float, default=2.0 ** -4)
-    parser.add_argument("--optimizer", choices=("lbfgs", "gd"), default="lbfgs")
     parser.add_argument("--max-iters", type=int, default=500,
                         help="inner iterations per annealing stage")
     parser.add_argument("--grad-tol", type=float, default=1e-6)

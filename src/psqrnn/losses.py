@@ -136,12 +136,6 @@ class TauGrid:
     def k(self) -> int:
         return len(self.taus)
 
-    def tau_array(self) -> np.ndarray:
-        return np.array(self.taus, dtype=float)
-
-    def weight_array(self) -> np.ndarray:
-        return np.array(self.weights, dtype=float)
-
     @property
     def tau_bar(self) -> float:
         """Weighted mean level sum_k w_k tau_k.

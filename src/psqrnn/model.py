@@ -26,7 +26,6 @@ __all__ = [
     "PenaltyConfig",
     "PanelDesign",
     "ShrinkageSummary",
-    "predict",
     "predict_panel",
     "objective",
     "objective_gradient",
@@ -88,11 +87,16 @@ class ModelParameters:
 
 @dataclass
 class PanelDesign:
-    """Flattened, individual-major view of a balanced, fully observed panel."""
+    """Flattened, individual-major view of a balanced panel.
+
+    The covariates are fully observed. ``y`` is None when some response cell
+    is unobserved, as for future targets: such a design can be predicted on
+    but not fitted.
+    """
 
     z: np.ndarray
     x: np.ndarray
-    y: np.ndarray
+    y: Optional[np.ndarray]
     individual: np.ndarray
     n_individuals: int
     n_periods: int
@@ -102,39 +106,22 @@ class PanelDesign:
         n, t = dataset.n_individuals, dataset.n_periods
         if n < 1 or t < 1:
             raise DataError(f"degenerate panel: N={n}, T={t}")
-        if dataset.missing_mask.any():
-            raise DataError("panel contains missing cells; impute before fitting")
+        if dataset.missing_mask[:, :, 1:].any():
+            raise DataError("covariates contain missing cells; impute first")
         rows = n * t
+        observed = not dataset.missing_mask[:, :, 0].any()
         return cls(
             z=dataset.z.reshape(rows, dataset.q),
             x=dataset.x.reshape(rows, dataset.p),
-            y=dataset.y.reshape(rows),
+            y=dataset.y.reshape(rows) if observed else None,
             individual=np.repeat(np.arange(n), t),
             n_individuals=n,
             n_periods=t,
         )
 
 
-def predict(params: ModelParameters, kind: ModelKind, z, x, individual: int) -> float:
-    """Predicted conditional quantile for one observation of one individual."""
-    n = params.alpha.size
-    if not 0 <= individual < n:
-        raise IndexError(f"individual index {individual} outside [0, {n})")
-    value = 0.0
-    if kind.uses_linear_term:
-        z = np.asarray(z, dtype=float).ravel()
-        if z.size != params.beta.size:
-            raise ValueError(f"z has length {z.size}, beta has length {params.beta.size}")
-        value += float(z @ params.beta) + float(params.alpha[individual])
-    if kind.uses_network:
-        if params.net is None:
-            raise ValueError(f"kind {kind.value!r} requires network parameters")
-        value += network.forward(params.net, np.asarray(x, dtype=float).ravel())
-    return value
-
-
 def _linear_part(design: PanelDesign, params: ModelParameters, kind: ModelKind) -> np.ndarray:
-    pred = np.zeros(design.y.size)
+    pred = np.zeros(design.individual.size)
     if kind.uses_linear_term:
         if params.beta.size != design.z.shape[1]:
             raise ValueError(
@@ -227,6 +214,14 @@ def _design_for(dataset) -> PanelDesign:
     return dataset if isinstance(dataset, PanelDesign) else PanelDesign.from_dataset(dataset)
 
 
+def _fit_design(dataset) -> PanelDesign:
+    """The design of a panel whose response is fully observed."""
+    design = _design_for(dataset)
+    if design.y is None:
+        raise DataError("panel contains missing response cells; impute before fitting")
+    return design
+
+
 def objective(params: ModelParameters, kind: ModelKind, dataset, grid: TauGrid,
               penalties: PenaltyConfig, epsilon: float) -> float:
     """Penalized, smoothed composite quantile objective over a panel.
@@ -235,7 +230,7 @@ def objective(params: ModelParameters, kind: ModelKind, dataset, grid: TauGrid,
     individual, period) triples plus the two penalty terms; always >= 0.
     """
     losses._check_epsilon(epsilon)
-    return _evaluate(_design_for(dataset), params, kind, grid, penalties, epsilon,
+    return _evaluate(_fit_design(dataset), params, kind, grid, penalties, epsilon,
                      want_grad=False).value
 
 
@@ -247,7 +242,7 @@ def objective_gradient(params: ModelParameters, kind: ModelKind, dataset, grid: 
     network for the linear model) come back as zeros / None.
     """
     losses._check_epsilon(epsilon)
-    return _evaluate(_design_for(dataset), params, kind, grid, penalties, epsilon,
+    return _evaluate(_fit_design(dataset), params, kind, grid, penalties, epsilon,
                      want_grad=True).gradient
 
 
@@ -255,12 +250,16 @@ def average_check_loss(params: ModelParameters, kind: ModelKind, dataset, grid: 
                        epsilon: float) -> float:
     """The objective's data term alone (no penalties); the BIC loss input."""
     losses._check_epsilon(epsilon)
-    return _evaluate(_design_for(dataset), params, kind, grid, PenaltyConfig(), epsilon,
+    return _evaluate(_fit_design(dataset), params, kind, grid, PenaltyConfig(), epsilon,
                      want_grad=False).data_term
 
 
 def predict_panel(params: ModelParameters, kind: ModelKind, dataset) -> np.ndarray:
-    """Predicted values for every (individual, period) cell, shape (N, T)."""
+    """Predicted values for every (individual, period) cell, shape (N, T).
+
+    Only the covariates must be observed; the response may be masked, as for
+    the future targets of scenario 3.
+    """
     design = _design_for(dataset)
     pred = _linear_part(design, params, kind)
     if kind.uses_network:

@@ -19,9 +19,7 @@ __all__ = [
     "activate",
     "activate_deriv",
     "init_parameters",
-    "forward",
     "forward_batch",
-    "backward",
     "backward_batch",
     "flatten",
     "unflatten",
@@ -185,11 +183,6 @@ class NetworkParameters:
             self.spec, [w.copy() for w in self.weights], [b.copy() for b in self.biases]
         )
 
-    def all_finite(self) -> bool:
-        return all(np.all(np.isfinite(w)) for w in self.weights) and all(
-            np.all(np.isfinite(b)) for b in self.biases
-        )
-
 
 def zero_parameters(spec: NetworkSpec) -> NetworkParameters:
     """All-zero parameters for ``spec``."""
@@ -247,15 +240,6 @@ def forward_batch(params: NetworkParameters, x: np.ndarray):
     return out[:, 0], (pre, acts)
 
 
-def forward(params: NetworkParameters, x) -> float:
-    """Scalar network output for one input vector."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ValueError(f"expected a 1-d input vector, got shape {x.shape}")
-    out, _ = forward_batch(params, x[None, :])
-    return float(out[0])
-
-
 def backward_batch(params: NetworkParameters, cache, cotangent: np.ndarray,
                    with_input_grad: bool = False):
     """Reverse-mode pass: gradients of sum(cotangent * output) over a batch.
@@ -291,21 +275,6 @@ def backward_batch(params: NetworkParameters, cache, cotangent: np.ndarray,
             upstream = dz @ params.weights[l].T
     grads = NetworkParameters(spec, grad_w, grad_b)
     return grads, (upstream if with_input_grad else None)
-
-
-def backward(params: NetworkParameters, x, with_input_grad: bool = False):
-    """Gradients of the scalar output for one input vector.
-
-    Returns (value, NetworkParameters-shaped gradients[, input gradient]).
-    """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ValueError(f"expected a 1-d input vector, got shape {x.shape}")
-    out, cache = forward_batch(params, x[None, :])
-    grads, gx = backward_batch(params, cache, np.ones(1), with_input_grad)
-    if with_input_grad:
-        return float(out[0]), grads, gx[0]
-    return float(out[0]), grads
 
 
 def flatten(params: NetworkParameters) -> np.ndarray:

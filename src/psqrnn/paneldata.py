@@ -385,24 +385,18 @@ def impute_mean(dataset: PanelDataset) -> PanelDataset:
     is idempotent and clears the mask.
     """
     out = dataset.copy()
-    names = dataset.physical_names()
-    for name in names:
+    for name in dataset.physical_names():
         values, mask = out.column(name)
         if not mask.any():
             continue
         observed = ~mask
         if not observed.any():
             raise DataError(f"variable {name!r} has no observed values to impute from")
-        global_mean = float(values[observed].mean())
-        filled = values.copy()
-        for i in range(out.n_individuals):
-            row_mask = mask[i]
-            if not row_mask.any():
-                continue
-            row_obs = observed[i]
-            fill = float(values[i][row_obs].mean()) if row_obs.any() else global_mean
-            filled[i, row_mask] = fill
-        _write_column(out, name, filled)
+        counts = observed.sum(axis=1)
+        fill = np.full(out.n_individuals, float(values[observed].mean()))
+        np.divide(np.where(observed, values, 0.0).sum(axis=1), counts, out=fill,
+                  where=counts > 0)
+        _write_column(out, name, np.where(mask, fill[:, None], values))
     out.missing_mask = np.zeros_like(out.missing_mask)
     return out
 

@@ -12,12 +12,12 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import OptimizeResult, minimize
+from scipy.optimize import minimize
 
 from . import model, network
 from .errors import ConfigError, TrainingError
 from .losses import TauGrid
-from .model import ModelKind, ModelParameters, PanelDesign, PenaltyConfig
+from .model import ModelKind, ModelParameters, PenaltyConfig
 from .network import NetworkSpec
 
 __all__ = [
@@ -29,9 +29,6 @@ __all__ = [
     "fit",
     "fit_per_tau",
 ]
-
-_OPTIMIZERS = ("lbfgs", "gd")
-
 
 @dataclass(frozen=True)
 class AnnealSchedule:
@@ -74,8 +71,6 @@ class TrainConfig:
     max_iters_per_stage: int = 500
     grad_tol: float = 1e-6
     seed: int = 0
-    optimizer: str = "lbfgs"
-    gd_step: float = 1e-3
 
     def __post_init__(self):
         if self.restarts < 1:
@@ -84,10 +79,6 @@ class TrainConfig:
             raise ConfigError(f"max_iters_per_stage must be >= 1, got {self.max_iters_per_stage}")
         if not self.grad_tol > 0.0:
             raise ConfigError(f"grad_tol must be positive, got {self.grad_tol!r}")
-        if self.optimizer not in _OPTIMIZERS:
-            raise ConfigError(f"optimizer must be one of {_OPTIMIZERS}, got {self.optimizer!r}")
-        if not self.gd_step > 0.0:
-            raise ConfigError(f"gd_step must be positive, got {self.gd_step!r}")
 
 
 @dataclass
@@ -134,49 +125,36 @@ class _Guard:
 
 
 def _minimize_stage(value_and_grad, x0, config: TrainConfig):
-    """Run one inner optimization; returns (OptimizeResult, objective path).
+    """Run one L-BFGS-B stage; returns (OptimizeResult, objective path).
 
     The result's ``fun`` and ``jac`` are the value and gradient at its ``x``;
     the path holds the value at x0 and after every iteration. Each value comes
     from an evaluation the optimizer made anyway.
     """
-    if config.optimizer == "lbfgs":
-        path = []
-
-        def fun(x):
-            value, grad = value_and_grad(x)
-            if not path:  # L-BFGS-B evaluates x0 first
-                path.append(value)
-            return value, grad
-
-        def track(intermediate_result):
-            path.append(float(intermediate_result.fun))
-
-        result = minimize(
-            fun,
-            x0,
-            jac=True,
-            method="L-BFGS-B",
-            callback=track,
-            options={
-                "maxiter": config.max_iters_per_stage,
-                "gtol": config.grad_tol,
-                "ftol": 1e-12,
-            },
-        )
-        return result, path
-
-    x = np.asarray(x0, dtype=float).copy()
     path = []
-    iterations = 0
-    while True:
+
+    def fun(x):
         value, grad = value_and_grad(x)
-        path.append(value)
-        if iterations == config.max_iters_per_stage or np.max(np.abs(grad)) <= config.grad_tol:
-            break
-        x = x - config.gd_step * grad
-        iterations += 1
-    return OptimizeResult(x=x, fun=value, jac=grad, nit=iterations, nfev=iterations + 1), path
+        if not path:  # L-BFGS-B evaluates x0 first
+            path.append(value)
+        return value, grad
+
+    def track(intermediate_result):
+        path.append(float(intermediate_result.fun))
+
+    result = minimize(
+        fun,
+        x0,
+        jac=True,
+        method="L-BFGS-B",
+        callback=track,
+        options={
+            "maxiter": config.max_iters_per_stage,
+            "gtol": config.grad_tol,
+            "ftol": 1e-12,
+        },
+    )
+    return result, path
 
 
 def fit(dataset, kind: ModelKind, grid: TauGrid, penalties: PenaltyConfig,
@@ -207,7 +185,7 @@ def fit(dataset, kind: ModelKind, grid: TauGrid, penalties: PenaltyConfig,
     only the network initialization is randomized (seed + restart index),
     so the run is fully deterministic given (dataset, config).
     """
-    design = PanelDesign.from_dataset(dataset)
+    design = model._fit_design(dataset)
     if kind.uses_network:
         if spec is None:
             raise ConfigError(f"kind {kind.value!r} requires a network spec")

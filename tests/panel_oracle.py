@@ -1,9 +1,11 @@
-"""Row-at-a-time reference versions of ``paneldata.ingest`` and ``emit``.
+"""Row-at-a-time reference versions of ``paneldata.ingest``, ``emit`` and
+``impute_mean``.
 
-These are the original per-row parser and per-cell writer. The package reads
-and writes panels a column at a time; the tests hold these as oracles that
-the columnar code must match: the same dataset, the same error message and
-the same output bytes.
+These are the original per-row parser, per-cell writer and per-individual
+imputation. The package works on panels a column at a time; the tests hold
+these as oracles that the columnar code must match: the same dataset, the
+same error message and the same output bytes, and imputed means equal up to
+summation order.
 """
 
 import csv
@@ -12,7 +14,7 @@ import math
 import numpy as np
 
 from psqrnn.errors import DataError
-from psqrnn.paneldata import DEFAULT_SCHEMA, PanelDataset, PanelSchema
+from psqrnn.paneldata import DEFAULT_SCHEMA, PanelDataset, PanelSchema, _write_column
 
 _MISSING_TOKENS = ("", "NA")
 
@@ -131,3 +133,27 @@ def emit_cellwise(dataset: PanelDataset, path, delimiter: str = ",",
                     values, mask = columns[name]
                     cells.append("" if mask[i, j] else repr(float(values[i, j])))
                 writer.writerow(cells)
+
+
+def impute_mean_rowwise(dataset: PanelDataset) -> PanelDataset:
+    """Reference imputation: one observed mean per individual and variable."""
+    out = dataset.copy()
+    for name in dataset.physical_names():
+        values, mask = out.column(name)
+        if not mask.any():
+            continue
+        observed = ~mask
+        if not observed.any():
+            raise DataError(f"variable {name!r} has no observed values to impute from")
+        global_mean = float(values[observed].mean())
+        filled = values.copy()
+        for i in range(out.n_individuals):
+            row_mask = mask[i]
+            if not row_mask.any():
+                continue
+            row_obs = observed[i]
+            fill = float(values[i][row_obs].mean()) if row_obs.any() else global_mean
+            filled[i, row_mask] = fill
+        _write_column(out, name, filled)
+    out.missing_mask = np.zeros_like(out.missing_mask)
+    return out

@@ -339,7 +339,6 @@ def test_criterion_10_cli_reproducibility(tmp_path):
         "--eps-start", repr(config["eps_start"]),
         "--eps-end", repr(config["eps_end"]),
         "--eps-factor", repr(config["eps_factor"]),
-        "--optimizer", config["optimizer"],
         "--max-iters", str(config["max_iters"]),
         "--grad-tol", repr(config["grad_tol"]),
     ]

@@ -209,6 +209,8 @@ class TestTrain:
     def test_usage_error_exit_code(self, synth_csv, tmp_path):
         assert run(["train", "--input", str(synth_csv),
                     "--output", str(tmp_path / "f.json"), "--kind", "nope"]) == 1
+        assert run(["train", "--input", str(synth_csv),
+                    "--output", str(tmp_path / "f.json"), "--optimizer", "gd"]) == 1
 
     def test_missing_input_is_data_error(self, tmp_path):
         assert run(["train", "--input", str(tmp_path / "absent.csv"),
@@ -257,7 +259,6 @@ class TestReproducibility:
             "--eps-start", repr(config["eps_start"]),
             "--eps-end", repr(config["eps_end"]),
             "--eps-factor", repr(config["eps_factor"]),
-            "--optimizer", config["optimizer"],
             "--max-iters", str(config["max_iters"]),
             "--grad-tol", repr(config["grad_tol"]),
         ]

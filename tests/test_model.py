@@ -15,7 +15,7 @@ from psqrnn.model import (
     objective,
     objective_gradient,
     pack_parameters,
-    predict,
+    predict_panel,
     shrink_report,
     unpack_parameters,
 )
@@ -53,26 +53,41 @@ class TestPredict:
     def test_linear_sum(self):
         params = ModelParameters(np.array([1.0, 1.0]), np.array([0.5]),
                                  network.zero_parameters(NetworkSpec(1, (1,))))
-        assert predict(params, ModelKind.PSQRNN, [2.0, 3.0], [0.0], 0) == 5.5
+        ds = make_panel([[0.0]], z=[[[2.0, 3.0]]], x=[[[0.0]]])
+        assert predict_panel(params, ModelKind.PSQRNN, ds)[0, 0] == 5.5
 
     def test_qrnn_zero_network(self):
         params = ModelParameters(np.zeros(0), np.zeros(2),
                                  network.zero_parameters(NetworkSpec(2, (3,))))
-        assert predict(params, ModelKind.QRNN, [9.0], [1.0, 2.0], 1) == 0.0
+        ds = make_panel(np.zeros((2, 1)), z=np.full((2, 1, 1), 9.0),
+                        x=[[[1.0, 2.0]], [[1.0, 2.0]]])
+        assert np.array_equal(predict_panel(params, ModelKind.QRNN, ds), np.zeros((2, 1)))
 
     def test_identity_chain(self):
         params = identity_chain_params(np.zeros(0), [1.0])
-        assert predict(params, ModelKind.PSQRNN, [], [2.0], 0) == 3.0
-
-    def test_unknown_individual(self):
-        params = ModelParameters(np.zeros(1), np.zeros(2), None)
-        with pytest.raises(IndexError):
-            predict(params, ModelKind.LINEAR, [1.0], [], 5)
+        ds = make_panel([[0.0]], x=[[[2.0]]])
+        assert predict_panel(params, ModelKind.PSQRNN, ds)[0, 0] == 3.0
 
     def test_dimension_mismatch(self):
         params = ModelParameters(np.zeros(2), np.zeros(1), None)
         with pytest.raises(ValueError):
-            predict(params, ModelKind.LINEAR, [1.0], [], 0)
+            predict_panel(params, ModelKind.LINEAR, make_panel([[0.0]], z=[[[1.0]]]))
+
+    def test_masked_response_is_predicted(self, rng):
+        ds, spec = random_instance(rng, 3, 4, 2, 2)
+        params = ModelParameters(rng.standard_normal(2), rng.standard_normal(3),
+                                 network.init_parameters(spec, 0))
+        full = predict_panel(params, ModelKind.PSQRNN, ds)
+        ds.y[1, 2] = np.nan
+        ds.missing_mask[1, 2, 0] = True
+        assert np.array_equal(predict_panel(params, ModelKind.PSQRNN, ds), full)
+
+    def test_missing_covariate_rejected(self, rng):
+        ds, spec = random_instance(rng, 2, 3, 1, 1)
+        params = ModelParameters(np.zeros(1), np.zeros(2), network.zero_parameters(spec))
+        ds.missing_mask[0, 1, 2] = True
+        with pytest.raises(DataError, match="covariates"):
+            predict_panel(params, ModelKind.PSQRNN, ds)
 
 
 class TestObjective:
@@ -247,7 +262,7 @@ class TestCompositeCollapse:
         # One smoothed check-loss column per level, weighted and summed.
         ann, cache = network.forward_batch(params.net, design.x)
         resid = design.y - (design.z @ params.beta + params.alpha[design.individual] + ann)
-        taus, weights = grid.tau_array(), grid.weight_array()
+        taus, weights = np.array(grid.taus), np.array(grid.weights)
         n, t, k = design.n_individuals, design.n_periods, grid.k
         scale = 1.0 / (k * n * t)
         loss = weights * losses.smoothed_pinball(resid[:, None], taus, eps)
@@ -328,10 +343,15 @@ class TestShrinkReport:
 
 class TestPanelDesign:
     def test_masked_panel_rejected(self):
-        bad = make_panel(np.zeros((1, 1)))
-        bad.missing_mask[0, 0, 0] = True
+        bad = make_panel(np.zeros((1, 1)), x=np.zeros((1, 1, 1)))
+        bad.missing_mask[0, 0, 1] = True
         with pytest.raises(DataError):
             PanelDesign.from_dataset(bad)
+
+    def test_masked_response_leaves_no_response(self):
+        ds = make_panel([[1.0, np.nan]])
+        ds.missing_mask[0, 1, 0] = True
+        assert PanelDesign.from_dataset(ds).y is None
 
     def test_row_order_is_individual_major(self, rng):
         y = rng.standard_normal((2, 3))

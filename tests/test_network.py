@@ -8,15 +8,21 @@ from psqrnn.errors import ConfigError
 from psqrnn.network import NetworkParameters, NetworkSpec
 
 
-def finite_diff_grad(params, x, step=1e-6):
+def gradients(params, x, cotangent, with_input_grad=False):
+    """Batch outputs and the gradients of sum(cotangent * output)."""
+    out, cache = net.forward_batch(params, x)
+    return (out, *net.backward_batch(params, cache, cotangent, with_input_grad))
+
+
+def finite_diff_grad(params, x, cotangent, step=1e-6):
     vec = net.flatten(params)
     grad = np.zeros_like(vec)
     for i in range(vec.size):
         e = np.zeros_like(vec)
         e[i] = step
-        up = net.forward(net.unflatten(vec + e, params.spec), x)
-        down = net.forward(net.unflatten(vec - e, params.spec), x)
-        grad[i] = (up - down) / (2 * step)
+        up, _ = net.forward_batch(net.unflatten(vec + e, params.spec), x)
+        down, _ = net.forward_batch(net.unflatten(vec - e, params.spec), x)
+        grad[i] = cotangent @ (up - down) / (2 * step)
     return grad
 
 
@@ -45,14 +51,15 @@ class TestForward:
     def test_zero_network_maps_to_zero(self, rng):
         spec = NetworkSpec(3, (4, 2))
         params = net.zero_parameters(spec)
-        for _ in range(5):
-            assert net.forward(params, rng.standard_normal(3)) == 0.0
+        out, _ = net.forward_batch(params, rng.standard_normal((5, 3)))
+        assert np.array_equal(out, np.zeros(5))
 
     def test_identity_chain(self):
         spec = NetworkSpec(1, (1,), "elu")
         params = NetworkParameters(spec, [np.array([[1.0]]), np.array([[1.0]])],
                                    [np.array([0.0])])
-        assert net.forward(params, [2.0]) == 2.0
+        out, _ = net.forward_batch(params, [[2.0]])
+        assert out.tolist() == [2.0]
 
     def test_hand_matrix_evaluation(self):
         # Independent oracle: the same map written out by hand with numpy.
@@ -65,23 +72,27 @@ class TestForward:
         pre = w1.T @ x + b1
         hidden = np.where(pre >= 0, pre, np.expm1(pre))
         expected = float(w2[:, 0] @ hidden)
-        assert net.forward(params, x) == pytest.approx(expected, rel=1e-14)
+        out, _ = net.forward_batch(params, x[None, :])
+        assert out[0] == pytest.approx(expected, rel=1e-14)
 
     def test_dimension_mismatch(self):
         spec = NetworkSpec(2, (2,))
         params = net.zero_parameters(spec)
         with pytest.raises(ValueError):
-            net.forward(params, [1.0, 2.0, 3.0])
+            net.forward_batch(params, [[1.0, 2.0, 3.0]])
+        with pytest.raises(ValueError):
+            net.forward_batch(params, [1.0, 2.0])
 
     def test_output_weight_homogeneity_exact(self, rng):
         spec = NetworkSpec(3, (4, 3), "tanh")
         params = net.init_parameters(spec, 5)
-        x = rng.standard_normal(3)
-        base = net.forward(params, x)
+        x = rng.standard_normal((4, 3))
+        base, _ = net.forward_batch(params, x)
         for c in (2.0, 0.5, 1024.0):
             scaled = params.copy()
             scaled.weights[-1] = scaled.weights[-1] * c
-            assert net.forward(scaled, x) == c * base
+            out, _ = net.forward_batch(scaled, x)
+            assert np.array_equal(out, c * base)
 
     def test_relu_nonnegative_closure(self, rng):
         spec = NetworkSpec(2, (3,), "relu")
@@ -90,8 +101,8 @@ class TestForward:
             [rng.uniform(0, 1, (2, 3)), rng.uniform(0, 1, (3, 1))],
             [rng.uniform(0, 1, 3)],
         )
-        for _ in range(10):
-            assert net.forward(params, rng.uniform(0, 2, 2)) >= 0.0
+        out, _ = net.forward_batch(params, rng.uniform(0, 2, (10, 2)))
+        assert np.all(out >= 0.0)
 
 
 class TestBackward:
@@ -99,25 +110,31 @@ class TestBackward:
         # With all parameters zero, d out / d W_out_j = activation(0) = 0 for ELU.
         spec = NetworkSpec(2, (3,), "elu")
         params = net.zero_parameters(spec)
-        _, grads = net.backward(params, np.array([0.7, -0.2]))
+        _, grads, _ = gradients(params, np.array([[0.7, -0.2]]), np.ones(1))
         assert np.array_equal(grads.weights[-1], np.zeros((3, 1)))
 
     def test_identity_chain_output_grad(self):
         spec = NetworkSpec(1, (1,), "elu")
         params = NetworkParameters(spec, [np.array([[1.0]]), np.array([[1.0]])],
                                    [np.array([0.0])])
-        value, grads = net.backward(params, [2.0])
-        assert value == 2.0
+        value, grads, _ = gradients(params, np.array([[2.0]]), np.ones(1))
+        assert value.tolist() == [2.0]
         assert grads.weights[-1][0, 0] == 2.0
+
+    def test_cotangent_shape_mismatch(self):
+        params = net.zero_parameters(NetworkSpec(2, (3,)))
+        with pytest.raises(ValueError):
+            gradients(params, np.zeros((4, 2)), np.ones(3))
 
     @pytest.mark.parametrize("activation", ["elu", "sigmoid", "tanh", "softplus"])
     def test_matches_finite_differences(self, rng, activation):
         spec = NetworkSpec(2, (3, 1), activation)
         params = net.init_parameters(spec, 11)
-        x = rng.standard_normal(2)
-        _, grads = net.backward(params, x)
+        x = rng.standard_normal((5, 2))
+        cotangent = rng.standard_normal(5)
+        _, grads, _ = gradients(params, x, cotangent)
         analytic = net.flatten(grads)
-        numeric = finite_diff_grad(params, x)
+        numeric = finite_diff_grad(params, x, cotangent)
         assert np.max(np.abs(analytic - numeric) / np.maximum(1, np.abs(numeric))) < 1e-5
 
     def test_twenty_random_draws(self, rng):
@@ -127,24 +144,30 @@ class TestBackward:
             hidden = tuple(int(h) for h in rng.integers(1, 5, size=int(rng.integers(1, 3))))
             spec = NetworkSpec(p, hidden, "elu")
             params = net.init_parameters(spec, 100 + draw)
-            x = rng.standard_normal(p)
-            _, grads = net.backward(params, x)
+            rows = int(rng.integers(1, 6))
+            x = rng.standard_normal((rows, p))
+            cotangent = rng.standard_normal(rows)
+            _, grads, _ = gradients(params, x, cotangent)
             analytic = net.flatten(grads)
-            numeric = finite_diff_grad(params, x)
+            numeric = finite_diff_grad(params, x, cotangent)
             rel = np.max(np.abs(analytic - numeric) / np.maximum(1, np.abs(numeric)))
             assert rel < 1e-5, f"draw {draw}: rel err {rel}"
 
     def test_input_gradient(self, rng):
         spec = NetworkSpec(3, (4,), "tanh")
         params = net.init_parameters(spec, 3)
-        x = rng.standard_normal(3)
-        _, _, gx = net.backward(params, x, with_input_grad=True)
+        x = rng.standard_normal((2, 3))
+        cotangent = np.array([1.0, -0.5])
+        _, _, gx = gradients(params, x, cotangent, with_input_grad=True)
         step = 1e-6
-        for j in range(3):
-            e = np.zeros(3)
-            e[j] = step
-            fd = (net.forward(params, x + e) - net.forward(params, x - e)) / (2 * step)
-            assert gx[j] == pytest.approx(fd, rel=1e-6, abs=1e-9)
+        for i in range(2):
+            for j in range(3):
+                e = np.zeros((2, 3))
+                e[i, j] = step
+                up, _ = net.forward_batch(params, x + e)
+                down, _ = net.forward_batch(params, x - e)
+                fd = cotangent @ (up - down) / (2 * step)
+                assert gx[i, j] == pytest.approx(fd, rel=1e-6, abs=1e-9)
 
 
 class TestInitParameters:

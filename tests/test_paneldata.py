@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from conftest import assert_datasets_equal, make_panel
-from panel_oracle import emit_cellwise, ingest_rowwise
+from panel_oracle import emit_cellwise, impute_mean_rowwise, ingest_rowwise
 from psqrnn.errors import ConfigError, DataError
 from psqrnn.paneldata import (
     DEFAULT_SCHEMA,
@@ -323,6 +323,32 @@ class TestImputeMean:
         ds = impute_mean(ingest(f, TOY_SCHEMA))
         assert ds.z[0, 0, 0] == 55.0
         assert ds.x[0, 0, 0] == 55.0
+
+
+class TestImputeMeanMatchesRowwiseOracle:
+    @pytest.mark.parametrize("n, t, share", [(1000, 35, 0.02), (40, 6, 0.4)])
+    def test_matches_oracle(self, n, t, share):
+        rng = np.random.default_rng(n + t)
+        # Positive columns, as in the electricity panels: a relative bound on a
+        # mean is meaningless where its summands cancel.
+        ds = make_panel(rng.lognormal(3.0, 1.0, (n, t)), z=rng.lognormal(0.0, 1.0, (n, t, 2)),
+                        x=rng.uniform(1.0, 2.0, (n, t, 1)))
+        mask = rng.random(ds.missing_mask.shape) < share
+        mask[0, :, 1] = True  # an individual with no observed value falls back
+        ds.missing_mask = mask
+        ds.y[mask[:, :, 0]] = np.nan
+        ds.z[mask[:, :, 1:3]] = np.nan
+        ds.x[mask[:, :, 3:]] = np.nan
+
+        filled = impute_mean(ds)
+        oracle = impute_mean_rowwise(ds)
+        assert not filled.missing_mask.any()
+        for got, want, before, m in ((filled.y, oracle.y, ds.y, mask[:, :, 0]),
+                                     (filled.z, oracle.z, ds.z, mask[:, :, 1:3]),
+                                     (filled.x, oracle.x, ds.x, mask[:, :, 3:])):
+            assert np.array_equal(got[~m], before[~m])
+            assert np.allclose(got[m], want[m], rtol=1e-15, atol=0.0)
+        assert_datasets_equal(impute_mean(filled), filled)
 
 
 class TestStandardize:

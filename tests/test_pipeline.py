@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from psqrnn import cli, paneldata
 from psqrnn.losses import TauGrid
 from psqrnn.model import ModelKind, PenaltyConfig
 from psqrnn.network import NetworkSpec
@@ -93,3 +94,33 @@ class TestTrainPredictEvaluate:
         rep = evaluate_split(trained, "test")
         assert rep.predictions.shape == (4, 5)
         assert np.isfinite(rep.total_mape)
+
+    def test_scenario3_predicts_future_periods(self, tmp_path):
+        # The test targets of scenario 3 are the five periods after the panel,
+        # so their response is masked; the covariates come from observed lags.
+        ds, _ = generate_synthetic(SyntheticConfig(), 0)
+        cfg = TrainConfig(restarts=1, seed=0, max_iters_per_stage=60,
+                          schedule=AnnealSchedule(eps_end=2.0 ** -16))
+        trained = train_model(prepare_scenario(ds, 3), ModelKind.LINEAR,
+                              TauGrid.single(0.5), PenaltyConfig(0.005, 0.01), None, cfg)
+        pred = predict_matrix(trained, "test")
+        assert pred.shape == (30, 5)
+        assert np.isfinite(pred).all()
+
+        panel, artifact, written = (tmp_path / name for name in
+                                    ("panel.csv", "fit.json", "pred.csv"))
+        paneldata.emit(ds, panel)
+        schema = ["--individual-col", "individual", "--period-col", "period",
+                  "--response", "y", "--parametric", "z1,z2", "--network", "x1,x2"]
+        assert cli.main(["train", "--input", str(panel), "--output", str(artifact),
+                         "--scenario", "3", "--kind", "linear", "--taus", "0.5",
+                         "--restarts", "1", "--seed", "0", "--max-iters", "60",
+                         "--eps-end", str(2.0 ** -16), *schema]) == 0
+        assert cli.main(["predict", "--artifact", str(artifact), "--input", str(panel),
+                         "--output", str(written), *schema]) == 0
+        rows = [line.split(",") for line in written.read_text().splitlines()[2:]]
+        assert [(r[0], int(r[1])) for r in rows[:6]] == [
+            ("P01", 2019), ("P01", 2020), ("P01", 2021), ("P01", 2022), ("P01", 2023),
+            ("P02", 2019),
+        ]
+        assert np.array_equal(pred, np.array([float(r[3]) for r in rows]).reshape(30, 5))

@@ -136,16 +136,6 @@ class TestFit:
         with pytest.raises(DataError):
             fit(empty, ModelKind.LINEAR, TauGrid.single(0.5), PenaltyConfig(), None, FAST)
 
-    def test_gd_optimizer_runs(self, rng):
-        y = rng.standard_normal((1, 30))
-        ds = make_panel(y)
-        cfg = TrainConfig(restarts=1, seed=0, optimizer="gd", gd_step=0.5,
-                          max_iters_per_stage=200,
-                          schedule=AnnealSchedule(2.0 ** -4, 2.0 ** -8, 0.25))
-        result = fit(ds, ModelKind.LINEAR, TauGrid.single(0.5), PenaltyConfig(), None, cfg)
-        dist = interval_distance(result.params.alpha[0], quantile_interval(y[0], 0.5))
-        assert dist <= 0.05
-
     def test_shrinkage_endpoints_small(self, rng):
         y = 1.0 + rng.standard_normal((3, 8))
         ds = make_panel(y, z=rng.standard_normal((3, 8, 1)))
@@ -202,21 +192,6 @@ class TestEvaluationBudget:
             assert record.objective_path[-1] == record.objective
             assert len(record.objective_path) == record.iterations + 1
         assert result.final_objective == result.stage_trace[-1].objective
-
-    @pytest.mark.parametrize("max_iters, capped", [(5, True), (10_000, False)])
-    def test_gd_stage_evaluates_iterations_plus_one(self, max_iters, capped):
-        calls = []
-
-        def value_and_grad(x):
-            calls.append(x.copy())
-            return float(np.sum((x - 1.0) ** 2)), 2.0 * (x - 1.0)
-
-        cfg = TrainConfig(optimizer="gd", gd_step=0.25, max_iters_per_stage=max_iters)
-        result, path = trainer._minimize_stage(value_and_grad, np.zeros(3), cfg)
-        assert len(calls) == result.nit + 1 == len(path)
-        assert (result.nit == max_iters) == capped
-        assert (np.max(np.abs(result.jac)) <= cfg.grad_tol) != capped
-        assert path[-1] == result.fun and np.array_equal(result.x, calls[-1])
 
 
 class TestFitPerTau:
