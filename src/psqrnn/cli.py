@@ -287,7 +287,8 @@ def _fit_artifact(command: str, config: dict, trained, dataset: PanelDataset) ->
             "restart_objectives": list(fit_result.restart_objectives),
             "avg_check_loss": avg_loss,
             "stage_trace": [
-                {"epsilon": s.epsilon, "iterations": s.iterations, "objective": s.objective}
+                {"epsilon": s.epsilon, "iterations": s.iterations, "nfev": s.nfev,
+                 "objective": s.objective, "stop": s.stop}
                 for s in fit_result.stage_trace
             ],
         })

@@ -120,94 +120,135 @@ class PanelDesign:
         )
 
 
-def _linear_part(design: PanelDesign, params: ModelParameters, kind: ModelKind) -> np.ndarray:
-    pred = np.zeros(design.individual.size)
-    if kind.uses_linear_term:
-        if params.beta.size != design.z.shape[1]:
-            raise ValueError(
-                f"beta has length {params.beta.size}, panel has {design.z.shape[1]} "
-                "parametric covariates"
-            )
-        if params.alpha.size != design.n_individuals:
-            raise ValueError(
-                f"alpha has length {params.alpha.size}, panel has "
-                f"{design.n_individuals} individuals"
-            )
-        pred += design.z @ params.beta + params.alpha[design.individual]
-    return pred
+def _check_linear_sizes(design: PanelDesign, params: ModelParameters, kind: ModelKind):
+    if not kind.uses_linear_term:
+        return
+    if params.beta.size != design.z.shape[1]:
+        raise ValueError(
+            f"beta has length {params.beta.size}, panel has {design.z.shape[1]} "
+            "parametric covariates"
+        )
+    if params.alpha.size != design.n_individuals:
+        raise ValueError(
+            f"alpha has length {params.alpha.size}, panel has "
+            f"{design.n_individuals} individuals"
+        )
+
+
+class _Problem:
+    """A fit's fixed inputs, arranged once for the flat-vector kernel.
+
+    The packed vector (see :func:`pack_parameters`) holds beta and alpha for
+    kinds with a linear term, then the network as ``network.flatten`` lays it
+    out; the slices below say where.
+    """
+
+    def __init__(self, design: PanelDesign, kind: ModelKind, grid: TauGrid,
+                 penalties: PenaltyConfig, spec: Optional[NetworkSpec]):
+        n, t = design.n_individuals, design.n_periods
+        self.n, self.t = n, t
+        self.y = design.y.reshape(n, t)
+        self.tau_bar = grid.tau_bar
+        self.scale = 1.0 / (grid.k * n * t)
+        self.lambda1 = penalties.lambda1 if kind.uses_linear_term else 0.0
+        self.lambda2 = penalties.lambda2 if kind.uses_network else 0.0
+        self.z = self.beta = self.alpha = None
+        self.q = pos = 0
+        if kind.uses_linear_term:
+            self.z = design.z
+            self.q = pos = design.z.shape[1]
+            self.beta, self.alpha = slice(0, pos), slice(pos, pos + n)
+            pos += n
+        self.spec = self.layout = self.x = self.net = None
+        if kind.uses_network:
+            self.spec, self.layout, self.x = spec, network.FlatLayout(spec), design.x
+            self.net = slice(pos, pos + self.layout.size)
+            self.hidden_count = spec.hidden_weight_count
+            pos += self.layout.size
+        self.size = pos
+
+
+def _huber_value_and_deriv(u, epsilon, want_deriv):
+    """The Huber norm of ``u`` and, if asked, its derivative, sharing |u| and
+    the inside mask; as ``losses.huber``/``huber_deriv`` without validation."""
+    a = np.abs(u)
+    inside = a <= epsilon
+    value = np.where(inside, u * u / (2.0 * epsilon), a - 0.5 * epsilon)
+    if not want_deriv:
+        return value, None
+    return value, np.where(inside, u / epsilon, np.sign(u))
 
 
 class _Evaluation(NamedTuple):
     value: float
     data_term: float
-    gradient: Optional[ModelParameters]
+    #: d value / d vector in pack order, or None for a value-only call.
+    gradient: Optional[np.ndarray]
 
 
-def _evaluate(design: PanelDesign, params: ModelParameters, kind: ModelKind,
-              grid: TauGrid, penalties: PenaltyConfig, epsilon: float,
+def _evaluate(problem: _Problem, vector: np.ndarray, epsilon: float, *,
               want_grad: bool) -> _Evaluation:
-    tau_bar = grid.tau_bar
-    n, t = design.n_individuals, design.n_periods
-    scale = 1.0 / (grid.k * n * t)
+    """Objective value, data term and gradient at a packed parameter vector.
 
-    pred = _linear_part(design, params, kind)
-    if kind.uses_network:
-        if params.net is None:
-            raise ValueError(f"kind {kind.value!r} requires network parameters")
-        ann, cache = network.forward_batch(params.net, design.x)
-        pred += ann
+    Parameters are read as views of ``vector``; ``epsilon`` is checked by the
+    caller (once per annealing stage in a fit).
+    """
+    p = problem
+    n, t = p.n, p.t
+    pred = 0.0
+    if p.z is not None:
+        alpha = vector[p.alpha]
+        pred = (p.z @ vector[p.beta]).reshape(n, t) + alpha[:, None]
+    if p.layout is not None:
+        net_vector = vector[p.net]
+        net = p.layout.views(net_vector)
+        ann, cache = network.forward_batch(net, p.x)
+        pred = pred + ann.reshape(n, t)
 
-    resid = design.y - pred
-    if not np.all(np.isfinite(resid)):
+    resid = p.y - pred
+    if not np.isfinite(resid).all():
         raise ArithmeticError("non-finite residuals in objective evaluation")
 
     # Without per-level intercepts the K weighted check losses of a residual
     # sum to the one loss at tau_bar (see TauGrid.tau_bar). Reduce per
     # individual first so the final compensated sum is invariant to
     # individual ordering.
-    loss = losses.smoothed_pinball(resid, tau_bar, epsilon)
-    per_individual = loss.reshape(n, t).sum(axis=1)
-    data_term = math.fsum(per_individual.tolist()) * scale
+    side = np.where(resid >= 0.0, p.tau_bar, 1.0 - p.tau_bar)
+    hub, hub_deriv = _huber_value_and_deriv(resid, epsilon, want_grad)
+    loss = side * hub
+    data_term = math.fsum(loss.sum(axis=1).tolist()) * p.scale
 
     value = data_term
-    if kind.uses_linear_term and penalties.lambda1 > 0.0:
-        value += penalties.lambda1 * math.fsum(
-            np.asarray(losses.huber(params.alpha, epsilon), dtype=float).tolist()
-        ) / n
-    hidden_count = 0
-    if kind.uses_network:
-        hidden_count = params.net.spec.hidden_weight_count
-        if penalties.lambda2 > 0.0:
-            sq = sum(
-                float(np.sum(w * w))
-                for w in params.net.weights[: params.net.spec.n_hidden_layers]
-            )
-            value += penalties.lambda2 * sq / hidden_count
+    if p.lambda1 > 0.0:
+        alpha_hub, alpha_hub_deriv = _huber_value_and_deriv(alpha, epsilon, want_grad)
+        value += p.lambda1 * math.fsum(alpha_hub.tolist()) / n
+    if p.lambda2 > 0.0:
+        sq = sum(float((net_vector[h] * net_vector[h]).sum())
+                 for h in p.layout.hidden_weights)
+        value += p.lambda2 * sq / p.hidden_count
     if not math.isfinite(value):
         raise ArithmeticError("objective evaluated to a non-finite value")
 
     if not want_grad:
         return _Evaluation(value, data_term, None)
 
-    s = losses.smoothed_pinball_deriv(resid, tau_bar, epsilon) * scale
-    grad_beta = np.zeros(params.beta.size)
-    grad_alpha = np.zeros(params.alpha.size)
-    grad_net = None
-    if kind.uses_linear_term:
-        grad_beta = -(design.z.T @ s)
-        grad_alpha = -s.reshape(n, t).sum(axis=1)
-        if penalties.lambda1 > 0.0:
-            grad_alpha = grad_alpha + penalties.lambda1 * np.asarray(
-                losses.huber_deriv(params.alpha, epsilon), dtype=float
-            ) / n
-    if kind.uses_network:
-        grad_net, _ = network.backward_batch(params.net, cache, -s)
-        if penalties.lambda2 > 0.0:
-            for l in range(params.net.spec.n_hidden_layers):
-                grad_net.weights[l] += (
-                    2.0 * penalties.lambda2 / hidden_count
-                ) * params.net.weights[l]
-    return _Evaluation(value, data_term, ModelParameters(grad_beta, grad_alpha, grad_net))
+    # d value / d pred, row by row.
+    cotangent = side * hub_deriv
+    cotangent *= -p.scale
+    grad = np.empty(p.size)
+    if p.z is not None:
+        grad[p.beta] = p.z.T @ cotangent.ravel()
+        grad_alpha = cotangent.sum(axis=1)
+        if p.lambda1 > 0.0:
+            grad_alpha += p.lambda1 * alpha_hub_deriv / n
+        grad[p.alpha] = grad_alpha
+    if p.layout is not None:
+        grad_net, _ = network.backward_batch(net, cache, cotangent.ravel())
+        if p.lambda2 > 0.0:
+            for h in p.layout.hidden_weights:
+                grad_net[h] += (2.0 * p.lambda2 / p.hidden_count) * net_vector[h]
+        grad[p.net] = grad_net
+    return _Evaluation(value, data_term, grad)
 
 
 def _design_for(dataset) -> PanelDesign:
@@ -222,6 +263,18 @@ def _fit_design(dataset) -> PanelDesign:
     return design
 
 
+def _evaluate_at(params: ModelParameters, kind: ModelKind, dataset, grid: TauGrid,
+                 penalties: PenaltyConfig, epsilon: float,
+                 want_grad: bool) -> tuple[_Problem, _Evaluation]:
+    losses._check_epsilon(epsilon)
+    design = _fit_design(dataset)
+    _check_linear_sizes(design, params, kind)
+    vector = pack_parameters(params, kind)
+    problem = _Problem(design, kind, grid, penalties,
+                       params.net.spec if kind.uses_network else None)
+    return problem, _evaluate(problem, vector, epsilon, want_grad=want_grad)
+
+
 def objective(params: ModelParameters, kind: ModelKind, dataset, grid: TauGrid,
               penalties: PenaltyConfig, epsilon: float) -> float:
     """Penalized, smoothed composite quantile objective over a panel.
@@ -229,9 +282,7 @@ def objective(params: ModelParameters, kind: ModelKind, dataset, grid: TauGrid,
     Returns the weighted average smoothed check loss over all (level,
     individual, period) triples plus the two penalty terms; always >= 0.
     """
-    losses._check_epsilon(epsilon)
-    return _evaluate(_fit_design(dataset), params, kind, grid, penalties, epsilon,
-                     want_grad=False).value
+    return _evaluate_at(params, kind, dataset, grid, penalties, epsilon, False)[1].value
 
 
 def objective_gradient(params: ModelParameters, kind: ModelKind, dataset, grid: TauGrid,
@@ -241,17 +292,15 @@ def objective_gradient(params: ModelParameters, kind: ModelKind, dataset, grid: 
     Components the kind freezes (beta/alpha for the network-only model, the
     network for the linear model) come back as zeros / None.
     """
-    losses._check_epsilon(epsilon)
-    return _evaluate(_fit_design(dataset), params, kind, grid, penalties, epsilon,
-                     want_grad=True).gradient
+    problem, ev = _evaluate_at(params, kind, dataset, grid, penalties, epsilon, True)
+    return unpack_parameters(ev.gradient, kind, problem.q, problem.n, problem.spec)
 
 
 def average_check_loss(params: ModelParameters, kind: ModelKind, dataset, grid: TauGrid,
                        epsilon: float) -> float:
     """The objective's data term alone (no penalties); the BIC loss input."""
-    losses._check_epsilon(epsilon)
-    return _evaluate(_fit_design(dataset), params, kind, grid, PenaltyConfig(), epsilon,
-                     want_grad=False).data_term
+    return _evaluate_at(params, kind, dataset, grid, PenaltyConfig(), epsilon,
+                        False)[1].data_term
 
 
 def predict_panel(params: ModelParameters, kind: ModelKind, dataset) -> np.ndarray:
@@ -261,7 +310,10 @@ def predict_panel(params: ModelParameters, kind: ModelKind, dataset) -> np.ndarr
     the future targets of scenario 3.
     """
     design = _design_for(dataset)
-    pred = _linear_part(design, params, kind)
+    _check_linear_sizes(design, params, kind)
+    pred = np.zeros(design.individual.size)
+    if kind.uses_linear_term:
+        pred += design.z @ params.beta + params.alpha[design.individual]
     if kind.uses_network:
         if params.net is None:
             raise ValueError(f"kind {kind.value!r} requires network parameters")

@@ -7,6 +7,7 @@ would not be identifiable against them.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import expit
@@ -16,6 +17,8 @@ from .errors import ConfigError
 __all__ = [
     "NetworkSpec",
     "NetworkParameters",
+    "NetworkViews",
+    "FlatLayout",
     "activate",
     "activate_deriv",
     "init_parameters",
@@ -27,37 +30,41 @@ __all__ = [
 
 
 def _elu(x, alpha):
-    # expm1 only sees the negative branch; np.where evaluates both arms.
-    return np.where(x >= 0.0, x, alpha * np.expm1(np.minimum(x, 0.0)))
+    # max(x, 0) + alpha * expm1(min(x, 0)): each branch adds an exact zero to
+    # the other, and expm1 only sees the negative part.
+    out = np.expm1(np.minimum(x, 0.0))
+    out *= alpha
+    out += np.maximum(x, 0.0)
+    return out
 
 
-def _elu_deriv(x, alpha):
-    return np.where(x >= 0.0, 1.0, alpha * np.exp(np.minimum(x, 0.0)))
+def _elu_deriv(x, y, alpha):
+    # alpha * exp(x) = y + alpha on the negative branch, read off the
+    # activation y.
+    return np.where(x >= 0.0, 1.0, y + alpha)
 
 
 def _sigmoid(x, alpha):
     return expit(x)
 
 
-def _sigmoid_deriv(x, alpha):
-    s = expit(x)
-    return s * (1.0 - s)
+def _sigmoid_deriv(x, y, alpha):
+    return y * (1.0 - y)
 
 
 def _tanh(x, alpha):
     return np.tanh(x)
 
 
-def _tanh_deriv(x, alpha):
-    t = np.tanh(x)
-    return 1.0 - t * t
+def _tanh_deriv(x, y, alpha):
+    return 1.0 - y * y
 
 
 def _softplus(x, alpha):
     return np.logaddexp(0.0, x)
 
 
-def _softplus_deriv(x, alpha):
+def _softplus_deriv(x, y, alpha):
     return expit(x)
 
 
@@ -65,10 +72,11 @@ def _relu(x, alpha):
     return np.maximum(x, 0.0)
 
 
-def _relu_deriv(x, alpha):
-    return (np.asarray(x) > 0.0).astype(float)
+def _relu_deriv(x, y, alpha):
+    return (x > 0.0).astype(float)
 
 
+#: name -> (activation f(x, alpha), derivative f'(x, y, alpha) given y = f(x)).
 _ACTIVATIONS = {
     "elu": (_elu, _elu_deriv),
     "sigmoid": (_sigmoid, _sigmoid_deriv),
@@ -92,12 +100,13 @@ def activate(x, kind: str, alpha: float = 1.0):
 def activate_deriv(x, kind: str, alpha: float = 1.0):
     """Elementwise derivative of :func:`activate`."""
     try:
-        _, dfn = _ACTIVATIONS[kind]
+        fn, dfn = _ACTIVATIONS[kind]
     except KeyError:
         raise ConfigError(
             f"unsupported activation {kind!r}; choose from {sorted(_ACTIVATIONS)}"
         ) from None
-    return dfn(np.asarray(x, dtype=float), alpha)
+    x = np.asarray(x, dtype=float)
+    return dfn(x, fn(x, alpha), alpha)
 
 
 @dataclass(frozen=True)
@@ -208,12 +217,61 @@ def init_parameters(spec: NetworkSpec, seed: int) -> NetworkParameters:
     return NetworkParameters(spec, weights, biases)
 
 
-def forward_batch(params: NetworkParameters, x: np.ndarray):
+class NetworkViews(NamedTuple):
+    """Weights and biases of one spec read in place from a flat vector.
+
+    Quacks like :class:`NetworkParameters` for :func:`forward_batch` and
+    :func:`backward_batch`, but is built without copies or validation.
+    """
+
+    spec: NetworkSpec
+    weights: list
+    biases: list
+
+
+class FlatLayout:
+    """Where :func:`flatten` puts each weight matrix and bias vector of a spec.
+
+    Per hidden layer the matrix W (column-major) and then its bias; the
+    output read-out last.
+    """
+
+    def __init__(self, spec: NetworkSpec):
+        sizes = spec.layer_sizes
+        self.spec = spec
+        self.size = spec.parameter_count
+        self._weights = []
+        self._biases = []
+        pos = 0
+        for l in range(len(sizes) - 1):
+            count = sizes[l] * sizes[l + 1]
+            self._weights.append((slice(pos, pos + count), (sizes[l], sizes[l + 1])))
+            pos += count
+            if l < spec.n_hidden_layers:
+                self._biases.append(slice(pos, pos + sizes[l + 1]))
+                pos += sizes[l + 1]
+        #: Positions of the L2-penalized hidden-layer matrices.
+        self.hidden_weights = tuple(s for s, _ in self._weights[:-1])
+
+    def views(self, vector: np.ndarray) -> NetworkViews:
+        """The parameters held in ``vector`` (length ``size``), as views of it."""
+        return NetworkViews(
+            self.spec,
+            [vector[s].reshape(shape, order="F") for s, shape in self._weights],
+            [vector[s] for s in self._biases],
+        )
+
+
+def forward_batch(params, x: np.ndarray):
     """Evaluate the network on a batch of rows.
+
+    Layers run feature-major: each activation is an (n_l, n) array with the
+    rows contiguous, so the bias broadcasts and the batch sums in
+    :func:`backward_batch` run along memory.
 
     Parameters
     ----------
-    params : NetworkParameters
+    params : NetworkParameters or NetworkViews
     x : ndarray, shape (n, input_dim)
 
     Returns
@@ -221,27 +279,31 @@ def forward_batch(params: NetworkParameters, x: np.ndarray):
     out : ndarray, shape (n,)
         Scalar network output per row.
     cache : tuple
-        (pre-activations per hidden layer, activations including the input),
-        reused by :func:`backward_batch`.
+        (pre-activations per hidden layer, activations including the
+        transposed input), reused by :func:`backward_batch`.
     """
     spec = params.spec
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[1] != spec.input_dim:
         raise ValueError(f"input has shape {x.shape}, expected (n, {spec.input_dim})")
+    fn, _ = _ACTIVATIONS[spec.activation]
     pre = []
-    acts = [x]
-    g = x
-    for l in range(spec.n_hidden_layers):
-        z = g @ params.weights[l] + params.biases[l]
+    acts = [x.T]
+    g = x.T
+    for w, b in zip(params.weights, params.biases):
+        z = w.T @ g
+        z += b[:, None]
         pre.append(z)
-        g = activate(z, spec.activation, spec.elu_alpha)
+        g = fn(z, spec.elu_alpha)
         acts.append(g)
-    out = g @ params.weights[-1]
-    return out[:, 0], (pre, acts)
+    # einsum sums each column in the same order wherever it sits; BLAS gemv
+    # treats the last few columns apart, so a row's output would depend on
+    # its position in the batch.
+    out = np.einsum("k,kn->n", params.weights[-1][:, 0], g)
+    return out, (pre, acts)
 
 
-def backward_batch(params: NetworkParameters, cache, cotangent: np.ndarray,
-                   with_input_grad: bool = False):
+def backward_batch(params, cache, cotangent: np.ndarray, with_input_grad: bool = False):
     """Reverse-mode pass: gradients of sum(cotangent * output) over a batch.
 
     ``cache`` is what :func:`forward_batch` returned for these parameters; its
@@ -249,61 +311,54 @@ def backward_batch(params: NetworkParameters, cache, cotangent: np.ndarray,
 
     Returns
     -------
-    grads : NetworkParameters
-        Same shapes as ``params``; gradients summed over the batch.
+    grad : ndarray, shape (spec.parameter_count,)
+        Gradients summed over the batch, laid out as :func:`flatten` does.
     input_grad : ndarray or None
         d(sum)/dx of shape (n, input_dim) when requested.
     """
     spec = params.spec
     pre, acts = cache
     cotangent = np.asarray(cotangent, dtype=float)
-    if cotangent.shape != (acts[0].shape[0],):
+    if cotangent.shape != (acts[0].shape[1],):
         raise ValueError(
-            f"cotangent has shape {cotangent.shape}, expected ({acts[0].shape[0]},)"
+            f"cotangent has shape {cotangent.shape}, expected ({acts[0].shape[1]},)"
         )
+    _, dfn = _ACTIVATIONS[spec.activation]
     n_layers = spec.n_hidden_layers
-    grad_w = [None] * (n_layers + 1)
-    grad_b = [None] * n_layers
-    # Output layer: out_i = acts[-1][i] @ W_out, no bias.
-    grad_w[n_layers] = acts[-1].T @ cotangent[:, None]
-    upstream = np.outer(cotangent, params.weights[-1][:, 0])
+    parts = [None] * (2 * n_layers + 1)
+    # Output layer: out = W_out' acts[-1], no bias.
+    parts[-1] = acts[-1] @ cotangent
+    upstream = params.weights[-1] * cotangent
     for l in range(n_layers - 1, -1, -1):
-        dz = upstream * activate_deriv(pre[l], spec.activation, spec.elu_alpha)
-        grad_w[l] = acts[l].T @ dz
-        grad_b[l] = dz.sum(axis=0)
+        dz = upstream * dfn(pre[l], acts[l + 1], spec.elu_alpha)
+        # dz @ acts[l]' is the transposed gradient of W, so its row-major
+        # ravel is the column-major layout flatten uses.
+        parts[2 * l] = (dz @ acts[l].T).ravel()
+        parts[2 * l + 1] = dz.sum(axis=1)
         if l > 0 or with_input_grad:
-            upstream = dz @ params.weights[l].T
-    grads = NetworkParameters(spec, grad_w, grad_b)
-    return grads, (upstream if with_input_grad else None)
+            upstream = params.weights[l] @ dz
+    grad = np.concatenate(parts)
+    return grad, (upstream.T if with_input_grad else None)
 
 
 def flatten(params: NetworkParameters) -> np.ndarray:
-    """Pack parameters into one vector: per layer W (column-major) then bias."""
-    parts = []
-    for l in range(params.spec.n_hidden_layers):
-        parts.append(params.weights[l].ravel(order="F"))
-        parts.append(params.biases[l])
-    parts.append(params.weights[-1].ravel(order="F"))
-    return np.concatenate(parts)
+    """Pack parameters into one vector, laid out as :class:`FlatLayout` says."""
+    layout = FlatLayout(params.spec)
+    vector = np.empty(layout.size)
+    views = layout.views(vector)
+    for view, array in zip(views.weights + views.biases, params.weights + params.biases):
+        view[...] = array
+    return vector
 
 
 def unflatten(vector: np.ndarray, spec: NetworkSpec) -> NetworkParameters:
-    """Inverse of :func:`flatten` for the given spec."""
+    """Inverse of :func:`flatten` for the given spec; the result owns its arrays."""
     vector = np.asarray(vector, dtype=float).ravel()
     if vector.size != spec.parameter_count:
         raise ValueError(
             f"vector has length {vector.size}, spec needs {spec.parameter_count}"
         )
-    sizes = spec.layer_sizes
-    weights = []
-    biases = []
-    pos = 0
-    for l in range(spec.n_hidden_layers):
-        count = sizes[l] * sizes[l + 1]
-        weights.append(vector[pos:pos + count].reshape((sizes[l], sizes[l + 1]), order="F"))
-        pos += count
-        biases.append(vector[pos:pos + sizes[l + 1]].copy())
-        pos += sizes[l + 1]
-    count = sizes[-2] * sizes[-1]
-    weights.append(vector[pos:pos + count].reshape((sizes[-2], sizes[-1]), order="F"))
-    return NetworkParameters(spec, weights, biases)
+    views = FlatLayout(spec).views(vector)
+    return NetworkParameters(
+        spec, [w.copy() for w in views.weights], [b.copy() for b in views.biases]
+    )

@@ -98,11 +98,17 @@ def train_model(prepared: PreparedScenario, kind: ModelKind, grid: TauGrid,
     )
 
 
+def _panel(prepared: PreparedScenario, subset: str) -> PanelDataset:
+    if subset not in ("train", "test"):
+        raise ConfigError(f"subset must be 'train' or 'test', got {subset!r}")
+    return prepared.train if subset == "train" else prepared.test
+
+
 def predict_matrix(trained: TrainedModel, subset: str = "test",
                    fit_index: int = 0) -> np.ndarray:
     """Destandardized (N, H) predictions for the train or test panel."""
     prepared = trained.prepared
-    panel = prepared.test if subset == "test" else prepared.train
+    panel = _panel(prepared, subset)
     pred = predict_panel(trained.fits[fit_index].params, trained.kind, panel)
     if prepared.state is not None:
         pred = paneldata.destandardize_response(pred, prepared.state)
@@ -111,7 +117,7 @@ def predict_matrix(trained: TrainedModel, subset: str = "test",
 
 def _actual_matrix(trained: TrainedModel, subset: str) -> np.ndarray:
     prepared = trained.prepared
-    panel = prepared.test if subset == "test" else prepared.train
+    panel = _panel(prepared, subset)
     if panel.missing_mask[:, :, 0].any():
         raise DataError("panel has unobserved response values; nothing to evaluate")
     y = panel.y

@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 from scipy.optimize import minimize
 
-from . import model, network
+from . import losses, model, network
 from .errors import ConfigError, TrainingError
 from .losses import TauGrid
 from .model import ModelKind, ModelParameters, PenaltyConfig
@@ -83,11 +83,15 @@ class TrainConfig:
 
 @dataclass
 class StageRecord:
-    """One annealing stage: threshold, iterations used, objective path."""
+    """One annealing stage: threshold, work done, why it stopped, objective path."""
 
     epsilon: float
     iterations: int
+    #: Objective evaluations, each one value and gradient.
+    nfev: int
     objective: float
+    #: The optimizer's stop message, e.g. a convergence test or the iteration cap.
+    stop: str
     objective_path: list[float] = field(default_factory=list, repr=False)
 
 
@@ -99,6 +103,8 @@ class FitResult:
     final_objective: float
     restart_index: int
     stage_trace: list[StageRecord]
+    #: The final stage stopped on one of the optimizer's tolerance tests, not
+    #: on ``max_iters_per_stage`` or a failed line search.
     converged: bool
     restart_objectives: list[float] = field(default_factory=list)
 
@@ -195,16 +201,16 @@ def fit(dataset, kind: ModelKind, grid: TauGrid, penalties: PenaltyConfig,
                 f"{design.x.shape[1]} network covariates"
             )
     net_spec = spec if kind.uses_network else None
-    q = design.z.shape[1] if kind.uses_linear_term else 0
-    n = design.n_individuals
+    problem = model._Problem(design, kind, grid, penalties, net_spec)
+    q, n = problem.q, problem.n
     eps_values = epsilon_sequence(config.schedule)
 
     def value_and_grad_at(epsilon):
+        losses._check_epsilon(epsilon)
+
         def value_and_grad(x):
-            params = model.unpack_parameters(x, kind, q, n, net_spec)
-            ev = model._evaluate(design, params, kind, grid, penalties, epsilon,
-                                 want_grad=True)
-            return ev.value, model.pack_parameters(ev.gradient, kind)
+            ev = model._evaluate(problem, x, epsilon, want_grad=True)
+            return ev.value, ev.gradient
 
         return _Guard(value_and_grad, epsilon)
 
@@ -222,12 +228,13 @@ def fit(dataset, kind: ModelKind, grid: TauGrid, penalties: PenaltyConfig,
         for epsilon in eps_values:
             result, path = _minimize_stage(value_and_grad_at(epsilon), x, config)
             x = result.x
-            trace.append(StageRecord(epsilon, int(result.nit), float(result.fun), path))
+            trace.append(StageRecord(epsilon, int(result.nit), int(result.nfev),
+                                     float(result.fun), str(result.message), path))
         # The last stage runs at eps_end: its result is the restart's final state.
-        final_value, final_grad = float(result.fun), result.jac
-        converged = bool(
-            final_grad.size == 0 or np.max(np.abs(final_grad)) <= config.grad_tol
-        )
+        # L-BFGS-B's status 0 means one of its tolerance tests stopped it, not
+        # the iteration cap or a failed line search.
+        final_value = float(result.fun)
+        converged = bool(result.status == 0)
         restart_objectives.append(final_value)
         if best is None or final_value < best.final_objective:
             best = FitResult(

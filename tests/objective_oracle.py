@@ -1,0 +1,114 @@
+"""Reference objective for the flat-vector kernel in ``psqrnn.model``.
+
+This is the objective as it was written before the kernel: it builds
+``ModelParameters`` and ``NetworkParameters``, runs the network row-major,
+and calls the validated public loss functions. Tests compare the kernel's
+value and gradient against it.
+"""
+
+import math
+from typing import NamedTuple, Optional
+
+import numpy as np
+
+from psqrnn import losses, network
+from psqrnn.model import ModelKind, ModelParameters, PanelDesign, PenaltyConfig
+from psqrnn.network import NetworkParameters
+
+
+def forward_rows(params: NetworkParameters, x: np.ndarray):
+    """Row-major forward pass: activations are (n, n_l) arrays."""
+    spec = params.spec
+    pre, acts, g = [], [x], x
+    for l in range(spec.n_hidden_layers):
+        z = g @ params.weights[l] + params.biases[l]
+        pre.append(z)
+        g = network.activate(z, spec.activation, spec.elu_alpha)
+        acts.append(g)
+    return (g @ params.weights[-1])[:, 0], (pre, acts)
+
+
+def backward_rows(params: NetworkParameters, cache, cotangent: np.ndarray) -> NetworkParameters:
+    """Row-major reverse pass: gradients of sum(cotangent * output)."""
+    spec = params.spec
+    pre, acts = cache
+    n_layers = spec.n_hidden_layers
+    grad_w = [None] * (n_layers + 1)
+    grad_b = [None] * n_layers
+    grad_w[n_layers] = acts[-1].T @ cotangent[:, None]
+    upstream = np.outer(cotangent, params.weights[-1][:, 0])
+    for l in range(n_layers - 1, -1, -1):
+        dz = upstream * network.activate_deriv(pre[l], spec.activation, spec.elu_alpha)
+        grad_w[l] = acts[l].T @ dz
+        grad_b[l] = dz.sum(axis=0)
+        upstream = dz @ params.weights[l].T
+    return NetworkParameters(spec, grad_w, grad_b)
+
+
+class Evaluation(NamedTuple):
+    value: float
+    data_term: float
+    gradient: Optional[ModelParameters]
+
+
+def evaluate(design: PanelDesign, params: ModelParameters, kind: ModelKind,
+             grid: losses.TauGrid, penalties: PenaltyConfig, epsilon: float,
+             want_grad: bool) -> Evaluation:
+    tau_bar = grid.tau_bar
+    n, t = design.n_individuals, design.n_periods
+    scale = 1.0 / (grid.k * n * t)
+
+    pred = np.zeros(design.individual.size)
+    if kind.uses_linear_term:
+        pred += design.z @ params.beta + params.alpha[design.individual]
+    if kind.uses_network:
+        ann, cache = forward_rows(params.net, design.x)
+        pred += ann
+
+    resid = design.y - pred
+    if not np.all(np.isfinite(resid)):
+        raise ArithmeticError("non-finite residuals in objective evaluation")
+
+    loss = losses.smoothed_pinball(resid, tau_bar, epsilon)
+    per_individual = loss.reshape(n, t).sum(axis=1)
+    data_term = math.fsum(per_individual.tolist()) * scale
+
+    value = data_term
+    if kind.uses_linear_term and penalties.lambda1 > 0.0:
+        value += penalties.lambda1 * math.fsum(
+            np.asarray(losses.huber(params.alpha, epsilon), dtype=float).tolist()
+        ) / n
+    hidden_count = 0
+    if kind.uses_network:
+        hidden_count = params.net.spec.hidden_weight_count
+        if penalties.lambda2 > 0.0:
+            sq = sum(
+                float(np.sum(w * w))
+                for w in params.net.weights[: params.net.spec.n_hidden_layers]
+            )
+            value += penalties.lambda2 * sq / hidden_count
+    if not math.isfinite(value):
+        raise ArithmeticError("objective evaluated to a non-finite value")
+
+    if not want_grad:
+        return Evaluation(value, data_term, None)
+
+    s = losses.smoothed_pinball_deriv(resid, tau_bar, epsilon) * scale
+    grad_beta = np.zeros(params.beta.size)
+    grad_alpha = np.zeros(params.alpha.size)
+    grad_net = None
+    if kind.uses_linear_term:
+        grad_beta = -(design.z.T @ s)
+        grad_alpha = -s.reshape(n, t).sum(axis=1)
+        if penalties.lambda1 > 0.0:
+            grad_alpha = grad_alpha + penalties.lambda1 * np.asarray(
+                losses.huber_deriv(params.alpha, epsilon), dtype=float
+            ) / n
+    if kind.uses_network:
+        grad_net = backward_rows(params.net, cache, -s)
+        if penalties.lambda2 > 0.0:
+            for l in range(params.net.spec.n_hidden_layers):
+                grad_net.weights[l] += (
+                    2.0 * penalties.lambda2 / hidden_count
+                ) * params.net.weights[l]
+    return Evaluation(value, data_term, ModelParameters(grad_beta, grad_alpha, grad_net))

@@ -167,6 +167,17 @@ class TestTrain:
         doc = json.loads(art.read_text())
         assert doc["fits"][0]["params"]["net"] is None
 
+    def test_stage_trace_records_work_and_stop(self, synth_csv, tmp_path):
+        art = tmp_path / "fit.json"
+        code = run(["train", "--input", str(synth_csv), "--output", str(art),
+                    "--kind", "linear", "--taus", "0.5", *FAST_FLAGS])
+        assert code == 0
+        fit = json.loads(art.read_text())["fits"][0]
+        for stage in fit["stage_trace"]:
+            assert set(stage) == {"epsilon", "iterations", "nfev", "objective", "stop"}
+            assert stage["nfev"] >= stage["iterations"] + 1
+        assert fit["converged"] == fit["stage_trace"][-1]["stop"].startswith("CONVERGENCE")
+
     def test_scenario3_paper_setup_flags(self, synth_csv, tmp_path):
         art = tmp_path / "fit.json"
         code = run(["train", "--input", str(synth_csv), "--output", str(art),

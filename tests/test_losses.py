@@ -88,6 +88,15 @@ class TestSmoothedPinball:
         assert gaps[0] > gaps[1] > gaps[2]
         assert gaps[2] < 1e-7
 
+    def test_list_tau(self):
+        # tau may be any array-like, as for pinball.
+        np.testing.assert_array_equal(smoothed_pinball(2.0, [0.3, 0.7], 1.0),
+                                      smoothed_pinball(2.0, np.array([0.3, 0.7]), 1.0))
+        np.testing.assert_allclose(smoothed_pinball(-2.0, (0.3, 0.7), 1.0), [1.05, 0.45],
+                                   rtol=1e-15)
+        np.testing.assert_allclose(smoothed_pinball_deriv(-2.0, [0.3, 0.7], 1.0),
+                                   [-0.7, -0.3], rtol=1e-15)
+
     def test_nan_propagates(self):
         assert math.isnan(smoothed_pinball(math.nan, 0.3, 1.0))
         assert math.isnan(smoothed_pinball_deriv(math.nan, 0.3, 1.0))

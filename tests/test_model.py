@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import objective_oracle
 from conftest import make_panel
 from psqrnn import losses, model, network
 from psqrnn.errors import DataError
@@ -254,13 +257,129 @@ class TestObjectiveGradient:
         assert grad.net is None
 
 
+def kernel(design, params, kind, grid, pen, eps):
+    """The flat-vector kernel's evaluation and its gradient in ModelParameters shape."""
+    problem = model._Problem(design, kind, grid, pen,
+                             params.net.spec if kind.uses_network else None)
+    ev = model._evaluate(problem, pack_parameters(params, kind), eps, want_grad=True)
+    grad = unpack_parameters(ev.gradient, kind, problem.q, problem.n, problem.spec)
+    return ev, grad
+
+
+def blocks(grad, kind):
+    """Gradient blocks: beta, alpha, then each weight matrix and bias vector."""
+    out = [grad.beta, grad.alpha] if kind.uses_linear_term else []
+    if kind.uses_network:
+        out += [*grad.net.weights, *grad.net.biases]
+    return out
+
+
+def max_abs(array):
+    return np.max(np.abs(array), initial=0.0)
+
+
+def assert_blocks_close(got, want, scale=None, rel=1e-12):
+    """Each block within ``rel`` of ``scale``, by default the block's own largest entry."""
+    for a, b in zip(got, want, strict=True):
+        assert a.shape == b.shape
+        assert max_abs(a - b) <= rel * (max_abs(b) if scale is None else scale)
+
+
+def gradient_scale(grad_blocks):
+    # A block can cancel down to round-off: a ReLU read-out gradient of 1e-20
+    # came with opposite signs from the two kernels while the gradient's
+    # largest entry was 1e-2. Random cases are therefore compared on the
+    # whole gradient's scale.
+    return max(max_abs(b) for b in grad_blocks)
+
+
+GRIDS = {
+    "dense": TauGrid.dense_grid(),
+    "equally9": TauGrid.equally_spaced(9),
+    "weighted3": TauGrid((0.3, 0.5, 0.8), (0.2, 0.3, 0.5)),
+}
+EPSILONS = (0.3, 2.0 ** -8, 2.0 ** -32)
+
+
+@st.composite
+def objective_cases(draw, max_n=5, max_t=6):
+    """A random panel, parameters and objective settings for any kind."""
+    kind = draw(st.sampled_from(list(ModelKind)))
+    n, t = draw(st.integers(1, max_n)), draw(st.integers(1, max_t))
+    q, p = draw(st.integers(0, 2)), draw(st.integers(1, 3))
+    hidden = draw(st.sampled_from([(3,), (4, 2)]))
+    activation = draw(st.sampled_from(["elu", "sigmoid", "tanh", "softplus", "relu"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    ds = make_panel(rng.standard_normal((n, t)), rng.standard_normal((n, t, q)),
+                    rng.standard_normal((n, t, p)))
+    net = None
+    if kind.uses_network:
+        net = network.init_parameters(NetworkSpec(p, hidden, activation), int(rng.integers(99)))
+        net.biases = [0.5 * rng.standard_normal(b.size) for b in net.biases]
+    params = ModelParameters(
+        rng.standard_normal(q) if kind.uses_linear_term else np.zeros(0),
+        rng.standard_normal(n) if kind.uses_linear_term else np.zeros(n),
+        net,
+    )
+    pen = draw(st.sampled_from([PenaltyConfig(), PenaltyConfig(0.3, 0.2)]))
+    grid = GRIDS[draw(st.sampled_from(sorted(GRIDS)))]
+    return ds, params, kind, grid, pen, draw(st.sampled_from(EPSILONS))
+
+
+class TestKernelMatchesOracle:
+    """The flat-vector kernel against the dataclass objective it replaced."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(objective_cases())
+    def test_value_and_gradient(self, case):
+        ds, params, kind, grid, pen, eps = case
+        design = PanelDesign.from_dataset(ds)
+        ev, grad = kernel(design, params, kind, grid, pen, eps)
+        want = objective_oracle.evaluate(design, params, kind, grid, pen, eps, True)
+        assert abs(ev.value - want.value) <= 1e-12 * want.value
+        assert abs(ev.data_term - want.data_term) <= 1e-12 * want.data_term
+        want_blocks = blocks(want.gradient, kind)
+        assert_blocks_close(blocks(grad, kind), want_blocks, gradient_scale(want_blocks))
+
+    def test_value_only_call_has_no_gradient(self, rng):
+        ds, spec = random_instance(rng, 2, 3, 1, 2)
+        problem = model._Problem(PanelDesign.from_dataset(ds), ModelKind.PSQRNN,
+                                 TauGrid.single(0.5), PenaltyConfig(0.1, 0.1), spec)
+        vector = rng.standard_normal(problem.size)
+        value_only = model._evaluate(problem, vector, 0.1, want_grad=False)
+        assert value_only.gradient is None
+        assert value_only[:2] == model._evaluate(problem, vector, 0.1, want_grad=True)[:2]
+
+
+class TestPermutationInvariance:
+    """Reordering individuals, with their intercepts, changes nothing."""
+
+    # Panels of up to 200 rows, so that individuals move between the blocks
+    # a BLAS kernel works through and its tail (see TestForward's row-order test).
+    @settings(max_examples=100, deadline=None)
+    @given(objective_cases(max_n=10, max_t=20), st.randoms(use_true_random=False))
+    def test_value_exact_gradient_permuted(self, case, random):
+        ds, params, kind, grid, pen, eps = case
+        perm = list(range(ds.n_individuals))
+        random.shuffle(perm)
+        shuffled = make_panel(ds.y[perm], ds.z[perm], ds.x[perm])
+        moved = ModelParameters(params.beta, params.alpha[perm], params.net)
+        ev, grad = kernel(PanelDesign.from_dataset(ds), params, kind, grid, pen, eps)
+        ev_p, grad_p = kernel(PanelDesign.from_dataset(shuffled), moved, kind, grid, pen, eps)
+        assert ev_p.value == ev.value
+        assert ev_p.data_term == ev.data_term
+        grad.alpha = grad.alpha[perm]
+        want_blocks = blocks(grad, kind)
+        assert_blocks_close(blocks(grad_p, kind), want_blocks, gradient_scale(want_blocks))
+
+
 class TestCompositeCollapse:
     """The data term at tau_bar against the K-column form it replaced."""
 
     @staticmethod
     def k_column_oracle(design, params, grid, eps):
         # One smoothed check-loss column per level, weighted and summed.
-        ann, cache = network.forward_batch(params.net, design.x)
+        ann, cache = objective_oracle.forward_rows(params.net, design.x)
         resid = design.y - (design.z @ params.beta + params.alpha[design.individual] + ann)
         taus, weights = np.array(grid.taus), np.array(grid.weights)
         n, t, k = design.n_individuals, design.n_periods, grid.k
@@ -269,30 +388,21 @@ class TestCompositeCollapse:
         value = math.fsum(loss.reshape(n, t, k).sum(axis=(1, 2)).tolist()) * scale
         s = (weights * losses.smoothed_pinball_deriv(resid[:, None], taus, eps)).sum(axis=1)
         s = s * scale
-        grad_net, _ = network.backward_batch(params.net, cache, -s)
-        blocks = [-(design.z.T @ s), -s.reshape(n, t).sum(axis=1),
-                  *grad_net.weights, *grad_net.biases]
-        return value, blocks
+        grad_net = objective_oracle.backward_rows(params.net, cache, -s)
+        return value, ModelParameters(-(design.z.T @ s), -s.reshape(n, t).sum(axis=1),
+                                      grad_net)
 
-    @pytest.mark.parametrize("grid", [
-        TauGrid.dense_grid(),
-        TauGrid.equally_spaced(9),
-        TauGrid((0.3, 0.5, 0.8), (0.2, 0.3, 0.5)),
-    ], ids=["dense", "equally9", "weighted3"])
-    @pytest.mark.parametrize("eps", [0.3, 2.0 ** -8, 2.0 ** -32])
+    @pytest.mark.parametrize("grid", GRIDS.values(), ids=GRIDS.keys())
+    @pytest.mark.parametrize("eps", EPSILONS)
     def test_matches_k_column_form(self, rng, grid, eps):
         ds, spec = random_instance(rng, 6, 7, 2, 3)
         design = PanelDesign.from_dataset(ds)
         params = ModelParameters(rng.standard_normal(2), rng.standard_normal(6),
                                  network.init_parameters(spec, 5))
-        ev = model._evaluate(design, params, ModelKind.PSQRNN, grid, PenaltyConfig(), eps,
-                             want_grad=True)
-        value, blocks = self.k_column_oracle(design, params, grid, eps)
+        ev, grad = kernel(design, params, ModelKind.PSQRNN, grid, PenaltyConfig(), eps)
+        value, want = self.k_column_oracle(design, params, grid, eps)
         assert abs(ev.value - value) <= 1e-12 * abs(value)
-        got = [ev.gradient.beta, ev.gradient.alpha,
-               *ev.gradient.net.weights, *ev.gradient.net.biases]
-        for a, b in zip(got, blocks, strict=True):
-            assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+        assert_blocks_close(blocks(grad, ModelKind.PSQRNN), blocks(want, ModelKind.PSQRNN))
 
     def test_tau_bar(self):
         assert TauGrid.single(0.3).tau_bar == 0.3

@@ -94,6 +94,19 @@ class TestForward:
             out, _ = net.forward_batch(scaled, x)
             assert np.array_equal(out, c * base)
 
+    @pytest.mark.parametrize("hidden", [(3,), (4, 2), (10, 5)])
+    def test_row_order_invariance_exact(self, rng, hidden):
+        # A row's output must not depend on where it sits in the batch: the
+        # objective's exact invariance under reordering individuals rests on
+        # it. BLAS matrix-vector kernels handle the last few rows apart.
+        params = net.init_parameters(NetworkSpec(3, hidden), 0)
+        for rows in range(2, 40):
+            x = rng.standard_normal((rows, 3))
+            perm = rng.permutation(rows)
+            out, _ = net.forward_batch(params, x)
+            moved, _ = net.forward_batch(params, x[perm])
+            assert np.array_equal(moved, out[perm]), rows
+
     def test_relu_nonnegative_closure(self, rng):
         spec = NetworkSpec(2, (3,), "relu")
         params = NetworkParameters(
@@ -111,7 +124,7 @@ class TestBackward:
         spec = NetworkSpec(2, (3,), "elu")
         params = net.zero_parameters(spec)
         _, grads, _ = gradients(params, np.array([[0.7, -0.2]]), np.ones(1))
-        assert np.array_equal(grads.weights[-1], np.zeros((3, 1)))
+        assert np.array_equal(net.unflatten(grads, spec).weights[-1], np.zeros((3, 1)))
 
     def test_identity_chain_output_grad(self):
         spec = NetworkSpec(1, (1,), "elu")
@@ -119,7 +132,7 @@ class TestBackward:
                                    [np.array([0.0])])
         value, grads, _ = gradients(params, np.array([[2.0]]), np.ones(1))
         assert value.tolist() == [2.0]
-        assert grads.weights[-1][0, 0] == 2.0
+        assert net.unflatten(grads, spec).weights[-1][0, 0] == 2.0
 
     def test_cotangent_shape_mismatch(self):
         params = net.zero_parameters(NetworkSpec(2, (3,)))
@@ -133,9 +146,19 @@ class TestBackward:
         x = rng.standard_normal((5, 2))
         cotangent = rng.standard_normal(5)
         _, grads, _ = gradients(params, x, cotangent)
-        analytic = net.flatten(grads)
+        analytic = grads
         numeric = finite_diff_grad(params, x, cotangent)
         assert np.max(np.abs(analytic - numeric) / np.maximum(1, np.abs(numeric))) < 1e-5
+
+    @pytest.mark.parametrize("elu_alpha", [0.5, 2.0])
+    def test_elu_alpha_matches_finite_differences(self, rng, elu_alpha):
+        spec = NetworkSpec(2, (3, 2), "elu", elu_alpha)
+        params = net.init_parameters(spec, 4)
+        x = rng.standard_normal((6, 2))
+        cotangent = rng.standard_normal(6)
+        _, grads, _ = gradients(params, x, cotangent)
+        numeric = finite_diff_grad(params, x, cotangent)
+        assert np.max(np.abs(grads - numeric) / np.maximum(1, np.abs(numeric))) < 1e-5
 
     def test_twenty_random_draws(self, rng):
         # Central correctness property of the module.
@@ -148,7 +171,7 @@ class TestBackward:
             x = rng.standard_normal((rows, p))
             cotangent = rng.standard_normal(rows)
             _, grads, _ = gradients(params, x, cotangent)
-            analytic = net.flatten(grads)
+            analytic = grads
             numeric = finite_diff_grad(params, x, cotangent)
             rel = np.max(np.abs(analytic - numeric) / np.maximum(1, np.abs(numeric)))
             assert rel < 1e-5, f"draw {draw}: rel err {rel}"

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from psqrnn import cli, paneldata
+from psqrnn.errors import ConfigError
 from psqrnn.losses import TauGrid
 from psqrnn.model import ModelKind, PenaltyConfig
 from psqrnn.network import NetworkSpec
@@ -72,6 +73,16 @@ class TestTrainPredictEvaluate:
         assert np.max(np.abs(pred_train - ds.y[:, :15])) < 1e-3
         rep = evaluate_split(trained, "test")
         assert rep.total_mape < 1e-4
+
+    @pytest.mark.parametrize("subset", ["tset", "validation", "Train", ""])
+    def test_unknown_subset_rejected(self, subset):
+        ds, _ = noiseless_linear_panel()
+        trained = train_model(prepare_scenario(ds, 1), ModelKind.LINEAR, TauGrid.single(0.5),
+                              PenaltyConfig(), None, TrainConfig(restarts=1, max_iters_per_stage=1))
+        with pytest.raises(ConfigError, match="subset"):
+            predict_matrix(trained, subset)
+        with pytest.raises(ConfigError, match="subset"):
+            evaluate_split(trained, subset)
 
     def test_per_tau_fits(self):
         ds, _ = noiseless_linear_panel()

@@ -147,6 +147,28 @@ class TestFit:
         assert np.sum(np.abs(mild.params.alpha)) <= np.sum(np.abs(free.params.alpha))
 
 
+class TestConvergence:
+    """``converged`` says whether the final stage met a tolerance or hit the cap."""
+
+    @staticmethod
+    def linear_fit(rng, max_iters):
+        ds = make_panel(rng.standard_normal((3, 8)), z=rng.standard_normal((3, 8, 1)))
+        return fit(ds, ModelKind.LINEAR, TauGrid.single(0.5), PenaltyConfig(0.1, 0), None,
+                   TrainConfig(restarts=1, seed=0, max_iters_per_stage=max_iters))
+
+    def test_linear_fit_converges_under_default_cap(self, rng):
+        result = self.linear_fit(rng, TrainConfig().max_iters_per_stage)
+        assert result.converged
+        assert result.stage_trace[-1].stop.startswith("CONVERGENCE")
+
+    def test_iteration_cap_is_not_convergence(self, rng):
+        result = self.linear_fit(rng, 1)
+        assert not result.converged
+        for record in result.stage_trace:
+            assert record.iterations == 1
+            assert "ITERATIONS REACHED LIMIT" in record.stop
+
+
 class TestEvaluationBudget:
     """Every objective evaluation inside a fit is one the optimizer asked for."""
 
@@ -191,6 +213,7 @@ class TestEvaluationBudget:
             assert record.objective == pytest.approx(value, rel=1e-13, abs=0.0)
             assert record.objective_path[-1] == record.objective
             assert len(record.objective_path) == record.iterations + 1
+            assert (record.nfev, record.stop) == (stage.nfev, stage.message)
         assert result.final_objective == result.stage_trace[-1].objective
 
 
