@@ -439,6 +439,9 @@ def cmd_grid_search(args) -> int:
     return 0
 
 
+_PREDICTION_COLUMNS = ["individual", "period", "tau", "predicted"]
+
+
 def cmd_predict(args) -> int:
     artifact = _load_artifact(args.artifact)
     dataset = _load_dataset(args.input, args)
@@ -458,7 +461,11 @@ def cmd_predict(args) -> int:
     state = _state_from_dict(artifact["standardization"])
     if state is not None:
         panel = paneldata.apply_standardization(panel, state)
-    rows = []
+    labels = paneldata._csv_fields(panel.individuals)
+    t = len(panel.periods)
+    individual_cells = [label for label in labels for _ in range(t)]
+    period_cells = list(map(str, panel.periods)) * len(labels)
+    blocks = []
     for fit in artifact["fits"]:
         params = _params_from_dict(fit["params"])
         kind = ModelKind(artifact["config"]["kind"])
@@ -466,9 +473,8 @@ def cmd_predict(args) -> int:
         if state is not None:
             pred = paneldata.destandardize_response(pred, state)
         tau_label = "" if len(fit["taus"]) > 1 else repr(fit["taus"][0])
-        for i, individual in enumerate(panel.individuals):
-            for j, period in enumerate(panel.periods):
-                rows.append([individual, period, tau_label, repr(float(pred[i, j]))])
+        blocks.append((individual_cells, period_cells, [tau_label] * len(period_cells),
+                       list(map(repr, pred.ravel().tolist()))))
     with open(args.output, "w", encoding="utf-8", newline="") as handle:
         handle.write("# " + _dump_json_line({
             "command": "predict", "config": {
@@ -477,30 +483,45 @@ def cmd_predict(args) -> int:
             },
             "source_config": artifact["config"],
         }) + "\n")
-        writer = csv.writer(handle)
-        writer.writerow(["individual", "period", "tau", "predicted"])
-        writer.writerows(rows)
-    print(_dump_json({"written": args.output, "rows": len(rows)}))
+        csv.writer(handle).writerow(_PREDICTION_COLUMNS)
+        for block in blocks:
+            paneldata._write_rows(handle, block)
+    print(_dump_json({"written": args.output, "rows": len(blocks) * len(period_cells)}))
     return 0
 
 
 def _read_predictions(path: str, tau: Optional[str]) -> dict:
+    """(individual, period) -> predicted value over the rows labelled ``tau``.
+
+    A malformed row fails with its physical line number, comment lines
+    included.
+    """
     data = {}
     taus_seen = set()
-    with open(path, encoding="utf-8") as handle:
-        filtered = (ln for ln in handle if not ln.startswith("#"))
-        reader = csv.reader(filtered)
+    with open(path, encoding="utf-8", newline="") as handle:
+        lines = paneldata._NumberedLines(handle)
+        reader = csv.reader(lines)
         try:
             header = next(reader)
         except StopIteration:
             raise DataError(f"{path}: empty predictions file") from None
-        expected = ["individual", "period", "tau", "predicted"]
-        if header != expected:
-            raise DataError(f"{path}: header {header} != {expected}")
+        if header != _PREDICTION_COLUMNS:
+            raise DataError(f"{path}: header {header} != {_PREDICTION_COLUMNS}")
         for row in reader:
             if not row:
                 continue
+            line = lines.number
+            if len(row) != len(_PREDICTION_COLUMNS):
+                raise DataError(f"{path}: line {line}: {len(row)} fields, header has "
+                                f"{len(_PREDICTION_COLUMNS)}")
             individual, period, tau_label, value = row
+            try:
+                key = (individual, paneldata._parse_period(period, line, "period"))
+                value, blank = paneldata._parse_cell(value, line, "predicted")
+            except DataError as exc:
+                raise DataError(f"{path}: {exc}") from None
+            if blank:
+                raise DataError(f"{path}: line {line}, column 'predicted': missing value")
             taus_seen.add(tau_label)
             if tau is not None and tau_label != tau:
                 continue
@@ -509,7 +530,9 @@ def _read_predictions(path: str, tau: Optional[str]) -> dict:
                     f"{path} holds several quantile levels {sorted(taus_seen)}; "
                     "pass --tau to choose one"
                 )
-            data[(individual, int(period))] = float(value)
+            if key in data:
+                raise DataError(f"{path}: line {line}: duplicate row for {key}")
+            data[key] = value
     if not data:
         raise DataError(f"{path}: no prediction rows matched tau={tau!r}")
     return data
@@ -557,12 +580,14 @@ def cmd_evaluate(args) -> int:
         with open(args.series_output, "w", encoding="utf-8", newline="") as handle:
             handle.write("# " + _dump_json_line({"command": "evaluate",
                                                  "config": config}) + "\n")
-            writer = csv.writer(handle)
-            writer.writerow(["individual", "period", "actual", "predicted"])
-            for a, ind in enumerate(individuals):
-                for b, per in enumerate(periods):
-                    writer.writerow([ind, per, repr(float(act[a, b])),
-                                     repr(float(pred[a, b]))])
+            csv.writer(handle).writerow(["individual", "period", "actual", "predicted"])
+            labels = paneldata._csv_fields(individuals)
+            paneldata._write_rows(handle, [
+                [label for label in labels for _ in periods],
+                list(map(str, periods)) * len(labels),
+                list(map(repr, act.ravel().tolist())),
+                list(map(repr, pred.ravel().tolist())),
+            ])
     print(_dump_json({"total_mape": rep.total_mape, "total_rrmse": rep.total_rrmse,
                       "written": args.output}))
     return 0

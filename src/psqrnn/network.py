@@ -10,7 +10,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import ConfigError
 
@@ -44,8 +43,15 @@ def _elu_deriv(x, y, alpha):
     return np.where(x >= 0.0, 1.0, y + alpha)
 
 
+def _logistic(x):
+    # exp(-x) overflows to inf for x <= -710; the quotient is then 0, which is
+    # also what scipy's expit returns there.
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
+
+
 def _sigmoid(x, alpha):
-    return expit(x)
+    return _logistic(x)
 
 
 def _sigmoid_deriv(x, y, alpha):
@@ -65,7 +71,7 @@ def _softplus(x, alpha):
 
 
 def _softplus_deriv(x, y, alpha):
-    return expit(x)
+    return _logistic(x)
 
 
 def _relu(x, alpha):

@@ -11,6 +11,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -41,6 +42,8 @@ __all__ = [
 _MISSING_TOKENS = ("", "NA")
 #: What a missing cell parses as; other (stripped) cells parse as themselves.
 _MISSING_FILL = dict.fromkeys(_MISSING_TOKENS, "nan")
+#: Every character of a written number cell: a float's repr or a period.
+_NUMBER_CHARS = "0123456789+-.einfa"
 
 #: Forecast horizon and feature lag of the canonical split protocols.
 HORIZON = 5
@@ -317,12 +320,15 @@ def ingest(path, schema: PanelSchema = DEFAULT_SCHEMA, delimiter: str = ",") -> 
     missing = np.empty(values.shape, dtype=bool)
     for c, name in enumerate(value_cols):
         cells = list(map(str.strip, columns[index[name]]))
-        missing[:, c] = np.fromiter(map(_MISSING_TOKENS.__contains__, cells), bool, len(cells))
         try:
-            values[:, c] = np.fromiter(map(float, map(_MISSING_FILL.get, cells, cells)),
-                                       float, len(cells))
+            values[:, c] = np.array(list(map(_MISSING_FILL.get, cells, cells)), dtype=float)
         except ValueError:
             raise malformed() from None
+        # Only a missing token or a literal NaN parses as NaN; the literal
+        # stays observed, so the finiteness check below rejects it.
+        blank = np.isnan(values[:, c])
+        blank[blank] = [cells[k] in _MISSING_TOKENS for k in np.flatnonzero(blank).tolist()]
+        missing[:, c] = blank
     if not np.isfinite(values[~missing]).all():
         raise malformed()
 
@@ -351,16 +357,35 @@ def ingest(path, schema: PanelSchema = DEFAULT_SCHEMA, delimiter: str = ",") -> 
     )
 
 
+def _csv_fields(cells, delimiter: str = ",") -> list[str]:
+    """Each cell as :func:`csv.writer` writes it inside a row, quoted only if needed."""
+    # writerow returns what the file's write returned: here, the row's text.
+    writer = csv.writer(SimpleNamespace(write=str), delimiter=delimiter)
+    # A lone empty field would be quoted, so each row ends in an empty field,
+    # cut off again with the delimiter and the "\r\n" terminator.
+    return [writer.writerow((cell, ""))[:-3] for cell in cells]
+
+
+def _write_rows(handle, columns, delimiter: str = ",") -> None:
+    """Write columns of finished cells as rows, one join per row, ended as csv.writer ends them."""
+    handle.writelines(delimiter.join(row) + "\r\n" for row in zip(*columns))
+
+
 def emit(dataset: PanelDataset, path, delimiter: str = ",", preamble: str = "") -> None:
     """Write a dataset back to the delimited format (inverse of :func:`ingest`).
 
     Missing cells become empty fields; observed values are written with full
     round-trip precision. ``preamble`` lines (if any) are prefixed with '#'.
+    Individual labels are quoted where they need it; number cells never do,
+    so a delimiter that can occur in a number is refused.
     """
+    labels = _csv_fields(dataset.individuals, delimiter)
+    if delimiter in _NUMBER_CHARS:
+        raise ConfigError(f"delimiter {delimiter!r} can occur inside a number")
     names = dataset.physical_names()
     t = dataset.n_periods
     columns = [
-        [ind for ind in dataset.individuals for _ in range(t)],
+        [label for label in labels for _ in range(t)],
         list(map(str, dataset.periods)) * dataset.n_individuals,
     ]
     for name in names:
@@ -372,9 +397,9 @@ def emit(dataset: PanelDataset, path, delimiter: str = ",", preamble: str = "") 
     with open(path, "w", encoding="utf-8", newline="") as handle:
         for line in preamble.splitlines():
             handle.write(f"# {line}\n")
-        writer = csv.writer(handle, delimiter=delimiter)
-        writer.writerow([dataset.individual_label, dataset.period_label, *names])
-        writer.writerows(zip(*columns))
+        csv.writer(handle, delimiter=delimiter).writerow(
+            [dataset.individual_label, dataset.period_label, *names])
+        _write_rows(handle, columns, delimiter)
 
 
 def impute_mean(dataset: PanelDataset) -> PanelDataset:

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import losses, model, network
 from .errors import ConfigError, TrainingError
@@ -107,6 +106,17 @@ class FitResult:
     #: on ``max_iters_per_stage`` or a failed line search.
     converged: bool
     restart_objectives: list[float] = field(default_factory=list)
+
+
+def minimize(*args, **kwargs):
+    """``scipy.optimize.minimize``, imported on the first call.
+
+    Only a fit needs scipy, so commands that never fit do not pay for
+    importing it.
+    """
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(*args, **kwargs)
 
 
 class _Guard:

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import subprocess
@@ -9,6 +11,7 @@ import pytest
 from psqrnn import cli
 from psqrnn.losses import TauGrid
 from psqrnn.model import ModelKind, PenaltyConfig
+from psqrnn.paneldata import SyntheticConfig, emit, generate_synthetic
 from psqrnn.pipeline import evaluate_split, prepare_scenario, train_model
 from psqrnn.trainer import AnnealSchedule, TrainConfig
 
@@ -506,6 +509,78 @@ class TestPredictEvaluate:
         assert len(rows) == 1 + 4
 
 
+class TestMalformedPredictions:
+    """evaluate rejects a malformed predictions row with exit 2 and its physical line."""
+
+    def evaluate(self, synth_csv, tmp_path, capsys, rows, extra=()):
+        ds = _ingest_embedded(synth_csv)
+        good = [f"{ind},{ds.periods[15]},,{float(ds.y[i, 15])!r}"
+                for i, ind in enumerate(ds.individuals)]
+        pred = tmp_path / "pred.csv"
+        # Physical line 1 is a comment, 2 the header, 3 and on the rows.
+        pred.write_text("\n".join(["# a comment", "individual,period,tau,predicted",
+                                   *good, *rows(ds)]) + "\n")
+        capsys.readouterr()
+        code = run(["evaluate", "--predictions", str(pred), "--actuals", str(synth_csv),
+                    *extra])
+        return code, capsys.readouterr().err
+
+    def test_wrong_field_count(self, synth_csv, tmp_path, capsys):
+        code, err = self.evaluate(synth_csv, tmp_path, capsys,
+                                  lambda ds: [f"{ds.individuals[0]},{ds.periods[16]},,1.0,9"])
+        assert code == 2 and "line 7: 5 fields, header has 4" in err
+
+    def test_non_integer_period(self, synth_csv, tmp_path, capsys):
+        code, err = self.evaluate(synth_csv, tmp_path, capsys,
+                                  lambda ds: [f"{ds.individuals[0]},20x4,,1.0"])
+        assert code == 2
+        assert "line 7, column 'period': cannot parse '20x4' as an integer period" in err
+
+    @pytest.mark.parametrize("value, message", [
+        ("abc", "cannot parse 'abc' as a number"),
+        ("nan", "non-finite value 'nan'"),
+        ("inf", "non-finite value 'inf'"),
+    ])
+    def test_bad_predicted_value(self, synth_csv, tmp_path, capsys, value, message):
+        code, err = self.evaluate(synth_csv, tmp_path, capsys,
+                                  lambda ds: [f"{ds.individuals[0]},{ds.periods[16]},,{value}"])
+        assert code == 2 and f"line 7, column 'predicted': {message}" in err
+
+    def test_duplicate_row_under_chosen_tau(self, synth_csv, tmp_path, capsys):
+        def rows(ds):
+            return [f"{ds.individuals[1]},{ds.periods[15]},0.5,1.0",
+                    f"{ds.individuals[1]},{ds.periods[15]},0.9,2.0",
+                    f"{ds.individuals[1]},{ds.periods[15]},0.5,3.0"]
+
+        code, err = self.evaluate(synth_csv, tmp_path, capsys, rows, ["--tau", "0.5"])
+        assert code == 2
+        assert "line 9: duplicate row for " in err and "line 7" not in err
+
+
+class TestWritersQuoteLabels:
+    """predict and --series-output write what csv.writer writes for the same cells."""
+
+    def test_labels_that_need_quotes(self, tmp_path):
+        ds, _ = generate_synthetic(SyntheticConfig(n_individuals=4, n_periods=12), 5)
+        ds.individuals = ("plain", "a,b", 'say "hi"', "two\r\nlines")
+        panel = tmp_path / "panel.csv"
+        emit(ds, panel, preamble=json.dumps({"schema": cli._schema_dict(ds.schema())}))
+        art, pred, series = (tmp_path / name for name in ("fit.json", "pred.csv", "series.csv"))
+        assert run(["train", "--input", str(panel), "--output", str(art), "--kind", "linear",
+                    "--restarts", "1", "--max-iters", "2"]) == 0
+        assert run(["predict", "--artifact", str(art), "--input", str(panel),
+                    "--output", str(pred)]) == 0
+        assert run(["evaluate", "--predictions", str(pred), "--actuals", str(panel),
+                    "--series-output", str(series)]) == 0
+        for path in (pred, series):
+            text = path.read_bytes().decode("utf-8").split("\n", 1)[1]
+            rows = list(csv.reader(io.StringIO(text, newline="")))
+            buffer = io.StringIO(newline="")
+            csv.writer(buffer).writerows(rows)
+            assert text == buffer.getvalue()
+            assert {row[0] for row in rows[1:]} == set(ds.individuals)
+
+
 class TestCliMatchesLibrary:
     def test_no_numeric_drift(self, synth_csv, tmp_path, capsys):
         art = tmp_path / "fit.json"
@@ -538,6 +613,71 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+def _fresh_python(code, *args):
+    """The last stdout line of ``code`` run in a new interpreter, parsed as JSON."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+        os.path.dirname(os.path.dirname(cli.__file__)), os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code, *args], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    return json.loads(out.splitlines()[-1])
+
+
+_SCIPY_LOADED = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+
+
+def test_package_import_leaves_scipy_unloaded():
+    code = f"import json, sys, psqrnn, psqrnn.cli; print(json.dumps({_SCIPY_LOADED}))"
+    assert _fresh_python(code) == []
+
+
+class TestCommandImports:
+    """Only a fit loads scipy: each command runs in a new interpreter."""
+
+    CODE = f"""
+import contextlib, io, json, sys
+from psqrnn import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(json.loads(sys.argv[1]))
+print(json.dumps([code, {_SCIPY_LOADED}]))
+"""
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("imports")
+        paths = {name: str(root / name) for name in
+                 ("panel.csv", "clean.csv", "fit.json", "fit2.json", "pred.csv")}
+        assert run(["synth", "--output", paths["panel.csv"], "--seed", "2",
+                    "--n-individuals", "3", "--n-periods", "12"]) == 0
+        assert run(["train", "--input", paths["panel.csv"], "--output", paths["fit.json"],
+                    "--kind", "linear", "--restarts", "1", "--max-iters", "2"]) == 0
+        assert run(["predict", "--artifact", paths["fit.json"], "--input",
+                    paths["panel.csv"], "--output", paths["pred.csv"]]) == 0
+        return paths
+
+    def loaded(self, argv):
+        code, modules = _fresh_python(self.CODE, json.dumps(argv))
+        assert code == 0
+        return modules
+
+    @pytest.mark.parametrize("command", ["synth", "ingest", "predict", "evaluate"])
+    def test_commands_that_do_not_fit_leave_scipy_unloaded(self, files, command):
+        argv = {
+            "synth": ["synth", "--output", files["clean.csv"], "--n-individuals", "3"],
+            "ingest": ["ingest", "--input", files["panel.csv"], "--output", files["clean.csv"]],
+            "predict": ["predict", "--artifact", files["fit.json"], "--input",
+                        files["panel.csv"], "--output", files["pred.csv"]],
+            "evaluate": ["evaluate", "--predictions", files["pred.csv"],
+                         "--actuals", files["panel.csv"]],
+        }[command]
+        assert self.loaded(argv) == []
+
+    def test_train_loads_the_optimizer(self, files):
+        modules = self.loaded(["train", "--input", files["panel.csv"], "--output",
+                               files["fit2.json"], "--kind", "linear", "--restarts", "1",
+                               "--max-iters", "2"])
+        assert "scipy.optimize" in modules
 
 
 def _embedded_schema(path):

@@ -1,7 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from psqrnn import network as net
 from psqrnn.errors import ConfigError
@@ -45,6 +47,19 @@ class TestActivate:
 
     def test_softplus_large_input_stable(self):
         assert net.activate(800.0, "softplus") == pytest.approx(800.0)
+
+    @pytest.mark.parametrize("kind, derivative", [("sigmoid", False), ("softplus", True)])
+    def test_logistic_matches_scipy_expit_silently(self, kind, derivative):
+        # The sigmoid and the softplus derivative are both the logistic
+        # function; exp(-x) overflows for x <= -710, which must stay silent.
+        x = np.concatenate([np.linspace(-750.0, 750.0, 600_001),
+                            [-np.inf, np.inf, -710.0, 710.0, -709.7, 709.7]])
+        fn = net.activate_deriv if derivative else net.activate
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = fn(x, kind)
+        np.testing.assert_allclose(got, expit(x), rtol=1e-15, atol=0.0)
+        assert got[-6:-2].tolist() == [0.0, 1.0, 0.0, 1.0]
 
 
 class TestForward:

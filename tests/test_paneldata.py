@@ -269,6 +269,19 @@ class TestEmitMatchesCellwiseOracle:
         emit_cellwise(ds, tmp_path / "old.csv", delimiter=delimiter, preamble=preamble)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
+    @pytest.mark.parametrize("delimiter", [",", ";", "\t"])
+    def test_same_bytes_with_labels_that_need_quotes(self, tmp_path, delimiter):
+        ds = masked_synthetic(5, n=8, t=3)
+        ds.individuals = ("", "a,b", "a;b", "a\tb", 'say "hi"', "two\r\nlines", " pad ", "#x")
+        emit(ds, tmp_path / "new.csv", delimiter=delimiter)
+        emit_cellwise(ds, tmp_path / "old.csv", delimiter=delimiter)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    @pytest.mark.parametrize("delimiter", [".", "-", "e", "7"])
+    def test_refuses_a_delimiter_found_in_numbers(self, tmp_path, delimiter):
+        with pytest.raises(ConfigError, match="can occur inside a number"):
+            emit(masked_synthetic(4), tmp_path / "out.csv", delimiter=delimiter)
+
 
 class TestImputeMean:
     def test_per_individual_mean(self):
