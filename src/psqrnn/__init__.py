@@ -1,5 +1,11 @@
 """Panel semiparametric quantile regression neural network toolkit."""
 
+from .artifact import (
+    FitArtifact,
+    load as load_artifact,
+    predict as predict_from_artifact,
+    save as save_artifact,
+)
 from .errors import ConfigError, DataError, TrainingError
 from .losses import TauGrid, huber, huber_deriv, pinball, smoothed_pinball, \
     smoothed_pinball_deriv
@@ -9,12 +15,10 @@ from .model import (
     ModelParameters,
     PanelDesign,
     PenaltyConfig,
-    ShrinkageSummary,
     average_check_loss,
     objective,
     objective_gradient,
     predict_panel,
-    shrink_report,
 )
 from .network import NetworkParameters, NetworkSpec, init_parameters
 from .paneldata import (

@@ -1,0 +1,236 @@
+"""Fit artifacts: how a trained model is saved, loaded back and predicted from.
+
+An artifact is one strict-JSON document holding the run configuration, the
+panel's metadata, the training-window standardization state and, per fit,
+its quantile grid, parameters, objectives and annealing trace. The CLI's
+``train``, ``grid-search`` and ``predict`` and library callers all go
+through this module, so the format has one home. Panel CSVs this tool
+writes start with a ``# {json}`` line recording their schema; that
+preamble is written and read here too.
+"""
+
+import json
+import math
+from dataclasses import asdict, dataclass
+from typing import Optional
+
+import numpy as np
+
+from . import model, paneldata
+from .errors import ConfigError, DataError
+from .model import ModelKind, ModelParameters
+from .network import NetworkParameters, NetworkSpec
+from .paneldata import PanelDataset, PanelSchema, StandardizationState
+
+SCHEMA_VERSION = 1
+
+__all__ = [
+    "SCHEMA_VERSION",
+    "FitArtifact",
+    "dump_json",
+    "write_json",
+    "write_panel",
+    "embedded_schema",
+    "save",
+    "load",
+    "predict",
+]
+
+
+def _jsonify(value):
+    """Plain JSON values; non-finite floats (undefined statistics) become null."""
+    if isinstance(value, np.ndarray):
+        return _jsonify(value.tolist())
+    if isinstance(value, (np.floating, np.integer)):
+        value = value.item()
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    if isinstance(value, dict):
+        return {k: _jsonify(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_jsonify(v) for v in value]
+    return value
+
+
+def dump_json(document: dict, indent: Optional[int] = 2) -> str:
+    """Strict JSON with sorted keys; ``indent=None`` puts it on one line."""
+    return json.dumps(_jsonify(document), indent=indent, sort_keys=True, allow_nan=False)
+
+
+def write_json(path, document: dict) -> None:
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(dump_json(document))
+        handle.write("\n")
+
+
+def write_panel(dataset: PanelDataset, path, command: str, config: dict) -> None:
+    """Emit ``dataset`` behind a preamble naming its schema and the command that wrote it."""
+    paneldata.emit(dataset, path, preamble=dump_json({
+        "command": command, "config": config, "schema": asdict(dataset.schema()),
+        "schema_version": SCHEMA_VERSION,
+    }, indent=None))
+
+
+def embedded_schema(path) -> Optional[PanelSchema]:
+    """The schema in the '# {json}' preamble of a panel CSV this tool wrote, if any."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            first = handle.readline()
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from None
+    if not first.startswith("# {"):
+        return None
+    try:
+        embedded = json.loads(first[2:])
+    except json.JSONDecodeError:
+        return None
+    if "schema" not in embedded:
+        return None
+    try:
+        return PanelSchema(**embedded["schema"])
+    except TypeError as exc:
+        raise DataError(f"{path}: malformed schema in the preamble: {exc}") from None
+
+
+def save(trained, path, command: str = "train", config: Optional[dict] = None) -> None:
+    """Write the artifact of a ``pipeline.TrainedModel``.
+
+    ``config`` is the run configuration to embed; it must hold the model
+    ``kind`` and the ``scenario``. By default it is what ``trained`` records.
+    """
+    prepared = trained.prepared
+    train = prepared.train
+    if config is None:
+        config = {"kind": trained.kind.value, "scenario": prepared.split.scenario,
+                  "standardize": prepared.state is not None,
+                  "penalties": asdict(trained.penalties), "train": asdict(trained.config)}
+    fits = [{
+        "taus": fit.grid.taus,
+        "weights": fit.grid.weights,
+        "tau_bar": fit.grid.tau_bar,
+        "params": asdict(fit.params),
+        "final_objective": fit.final_objective,
+        "restart_index": fit.restart_index,
+        "converged": fit.converged,
+        "restart_objectives": fit.restart_objectives,
+        "avg_check_loss": model.average_check_loss(
+            fit.params, trained.kind, train, fit.grid, trained.config.schedule.eps_end),
+        "stage_trace": [
+            {"epsilon": s.epsilon, "iterations": s.iterations, "nfev": s.nfev,
+             "objective": s.objective, "stop": s.stop}
+            for s in fit.stage_trace
+        ],
+    } for fit in trained.fits]
+    write_json(path, {
+        "schema_version": SCHEMA_VERSION,
+        "command": command,
+        "config": config,
+        "panel": {
+            "individuals": train.individuals,
+            "periods": prepared.periods,
+            "train_periods": train.periods,
+            "test_periods": prepared.test.periods,
+            "q": train.q,
+            "p": train.p,
+            "z_names": train.z_names,
+            "x_names": train.x_names,
+            "response_name": train.response_name,
+        },
+        "standardization": None if prepared.state is None else asdict(prepared.state),
+        "fits": fits,
+    })
+
+
+@dataclass(frozen=True)
+class FitArtifact:
+    """What prediction needs from a saved artifact."""
+
+    kind: ModelKind
+    scenario: int
+    #: One entry per fit.
+    params: tuple[ModelParameters, ...]
+    #: Each fit's level as a predictions file labels it: empty for a
+    #: composite grid, the level's repr for a single level.
+    tau_labels: tuple[str, ...]
+    state: Optional[StandardizationState]
+    individuals: tuple[str, ...]
+    z_names: tuple[str, ...]
+    x_names: tuple[str, ...]
+    #: The run configuration the artifact embeds.
+    config: dict
+
+
+def _params_from_dict(d: dict) -> ModelParameters:
+    net = d["net"]
+    if net is not None:
+        net = NetworkParameters(NetworkSpec(**net["spec"]), net["weights"], net["biases"])
+    return ModelParameters(d["beta"], d["alpha"], net)
+
+
+def load(path) -> FitArtifact:
+    """Read an artifact written by :func:`save`; a malformed one is a ``DataError``."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            document = json.load(handle)
+    except OSError as exc:
+        raise DataError(f"cannot read artifact {path}: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise DataError(f"artifact {path} is not valid JSON: {exc}") from None
+    version = document.get("schema_version") if isinstance(document, dict) else None
+    if version != SCHEMA_VERSION:
+        raise DataError(
+            f"artifact {path} has schema version {version!r}, expected {SCHEMA_VERSION}"
+        )
+    try:
+        config, panel, fits = document["config"], document["panel"], document["fits"]
+        state = document["standardization"]
+        if state is not None:
+            state = StandardizationState(**{
+                k: tuple(v) if isinstance(v, list) else v for k, v in state.items()})
+        return FitArtifact(
+            kind=ModelKind(config["kind"]),
+            scenario=config["scenario"],
+            params=tuple(_params_from_dict(fit["params"]) for fit in fits),
+            tau_labels=tuple("" if len(fit["taus"]) > 1 else repr(fit["taus"][0])
+                             for fit in fits),
+            state=state,
+            individuals=tuple(panel["individuals"]),
+            z_names=tuple(panel["z_names"]),
+            x_names=tuple(panel["x_names"]),
+            config=config,
+        )
+    except (AttributeError, KeyError, TypeError, ValueError, ConfigError) as exc:
+        raise DataError(f"artifact {path} is malformed: {exc!r}") from None
+
+
+def predict(fitted: FitArtifact, panel: PanelDataset) -> list[np.ndarray]:
+    """Each fit's (N, T) predictions for a panel, on the response's own scale.
+
+    ``panel`` is an unstandardized split panel, as
+    ``pipeline.prepare_scenario(dataset, fitted.scenario, standardize=False)``
+    returns it; it is standardized with the saved state. Its individuals and
+    covariate columns must be those the artifact was fitted on.
+    """
+    if panel.individuals != fitted.individuals:
+        missing = sorted(set(fitted.individuals) - set(panel.individuals))
+        extra = sorted(set(panel.individuals) - set(fitted.individuals))
+        raise DataError(
+            f"dataset individuals do not match the artifact: missing {missing}, "
+            f"unexpected {extra}"
+        )
+    if (panel.z_names, panel.x_names) != (fitted.z_names, fitted.x_names):
+        raise DataError(
+            f"panel covariates do not match the artifact: parametric "
+            f"{list(panel.z_names)}, network {list(panel.x_names)}; the artifact was "
+            f"fitted on parametric {list(fitted.z_names)}, network {list(fitted.x_names)}"
+        )
+    state = fitted.state
+    if state is not None:
+        panel = paneldata.apply_standardization(panel, state)
+    predictions = []
+    for params in fitted.params:
+        pred = model.predict_panel(params, fitted.kind, panel)
+        if state is not None:
+            pred = paneldata.destandardize_response(pred, state)
+        predictions.append(pred)
+    return predictions

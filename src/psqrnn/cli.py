@@ -8,30 +8,21 @@ byte-for-byte. Exit status: 0 success, 1 usage error, 2 data error,
 
 import argparse
 import csv
-import json
-import math
 import sys
 from dataclasses import asdict, replace
 from typing import Optional
 
 import numpy as np
 
-from . import metrics, model, paneldata, pipeline, selection
+from . import artifact, metrics, paneldata, pipeline, selection
+from .artifact import SCHEMA_VERSION, dump_json
 from .errors import ConfigError, DataError, TrainingError
 from .losses import TauGrid
-from .model import ModelKind, ModelParameters, PenaltyConfig
-from .network import NetworkParameters, NetworkSpec
-from .paneldata import (
-    DEFAULT_SCHEMA,
-    PanelDataset,
-    PanelSchema,
-    StandardizationState,
-    SyntheticConfig,
-)
+from .model import ModelKind, PenaltyConfig
+from .network import NetworkSpec
+from .paneldata import DEFAULT_SCHEMA, PanelDataset, PanelSchema, SyntheticConfig
 from .selection import SearchGrid
 from .trainer import AnnealSchedule, TrainConfig
-
-SCHEMA_VERSION = 1
 
 __all__ = ["main", "console_main"]
 
@@ -40,69 +31,9 @@ __all__ = ["main", "console_main"]
 # Shared helpers
 # ---------------------------------------------------------------------------
 
-def _jsonify(value):
-    """Plain JSON values; non-finite floats (undefined statistics) become null."""
-    if isinstance(value, np.ndarray):
-        return _jsonify(value.tolist())
-    if isinstance(value, (np.floating, np.integer)):
-        value = value.item()
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
-    if isinstance(value, dict):
-        return {k: _jsonify(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonify(v) for v in value]
-    return value
-
-
-def _dump_json(document: dict) -> str:
-    return json.dumps(_jsonify(document), indent=2, sort_keys=True, allow_nan=False)
-
-
-def _write_json(path: str, document: dict) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(_dump_json(document))
-        handle.write("\n")
-
-
-def _schema_dict(schema: PanelSchema) -> dict:
-    return {
-        "individual": schema.individual,
-        "period": schema.period,
-        "response": schema.response,
-        "parametric": list(schema.parametric),
-        "network": list(schema.network),
-    }
-
-
-def _schema_from_dict(d: dict) -> PanelSchema:
-    return PanelSchema(
-        individual=d["individual"], period=d["period"], response=d["response"],
-        parametric=tuple(d["parametric"]), network=tuple(d["network"]),
-    )
-
-
-def _peek_embedded(path: str) -> Optional[dict]:
-    """Parse the '# {json}' preamble of a CSV written by this tool, if any."""
-    try:
-        with open(path, encoding="utf-8") as handle:
-            first = handle.readline()
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from None
-    if first.startswith("# {"):
-        try:
-            return json.loads(first[2:])
-        except json.JSONDecodeError:
-            return None
-    return None
-
-
 def _resolve_schema(path: str, args) -> PanelSchema:
     """Explicit schema flags beat an embedded schema, which beats the default."""
-    embedded = _peek_embedded(path)
-    base = DEFAULT_SCHEMA
-    if embedded and "schema" in embedded:
-        base = _schema_from_dict(embedded["schema"])
+    base = artifact.embedded_schema(path) or DEFAULT_SCHEMA
     overrides = {}
     if getattr(args, "individual_col", None):
         overrides["individual"] = args.individual_col
@@ -120,18 +51,6 @@ def _resolve_schema(path: str, args) -> PanelSchema:
 def _load_dataset(path: str, args) -> PanelDataset:
     schema = _resolve_schema(path, args)
     return paneldata.ingest(path, schema, delimiter=getattr(args, "delimiter", ","))
-
-
-def _write_dataset(dataset: PanelDataset, path: str, command: str, config: dict) -> None:
-    preamble = _dump_json_line({
-        "command": command, "config": config, "schema": _schema_dict(dataset.schema()),
-        "schema_version": SCHEMA_VERSION,
-    })
-    paneldata.emit(dataset, path, preamble=preamble)
-
-
-def _dump_json_line(document: dict) -> str:
-    return json.dumps(_jsonify(document), sort_keys=True, allow_nan=False)
 
 
 def _parse_taus(text: Optional[str], kind: ModelKind) -> TauGrid:
@@ -210,125 +129,6 @@ def _net_spec_for(kind: ModelKind, hidden: tuple[int, ...], activation: str,
 
 
 # ---------------------------------------------------------------------------
-# Artifact serialization
-# ---------------------------------------------------------------------------
-
-def _params_to_dict(params: ModelParameters) -> dict:
-    net = None
-    if params.net is not None:
-        spec = params.net.spec
-        net = {
-            "spec": {
-                "input_dim": spec.input_dim,
-                "hidden_sizes": list(spec.hidden_sizes),
-                "activation": spec.activation,
-                "elu_alpha": spec.elu_alpha,
-            },
-            "weights": [w.tolist() for w in params.net.weights],
-            "biases": [b.tolist() for b in params.net.biases],
-        }
-    return {"beta": params.beta.tolist(), "alpha": params.alpha.tolist(), "net": net}
-
-
-def _params_from_dict(d: dict) -> ModelParameters:
-    net = None
-    if d.get("net") is not None:
-        spec_d = d["net"]["spec"]
-        spec = NetworkSpec(
-            input_dim=spec_d["input_dim"], hidden_sizes=tuple(spec_d["hidden_sizes"]),
-            activation=spec_d["activation"], elu_alpha=spec_d["elu_alpha"],
-        )
-        net = NetworkParameters(
-            spec,
-            [np.array(w, dtype=float) for w in d["net"]["weights"]],
-            [np.array(b, dtype=float) for b in d["net"]["biases"]],
-        )
-    return ModelParameters(np.array(d["beta"]), np.array(d["alpha"]), net)
-
-
-def _state_to_dict(state: Optional[StandardizationState]) -> Optional[dict]:
-    if state is None:
-        return None
-    return {k: _jsonify(v) for k, v in asdict(state).items()}
-
-
-def _state_from_dict(d: Optional[dict]) -> Optional[StandardizationState]:
-    if d is None:
-        return None
-    return StandardizationState(
-        response_mean=d["response_mean"], response_std=d["response_std"],
-        z_means=tuple(d["z_means"]), z_stds=tuple(d["z_stds"]),
-        x_means=tuple(d["x_means"]), x_stds=tuple(d["x_stds"]),
-        z_names=tuple(d["z_names"]), x_names=tuple(d["x_names"]),
-        response_name=d["response_name"],
-    )
-
-
-def _fit_artifact(command: str, config: dict, trained, dataset: PanelDataset) -> dict:
-    prepared = trained.prepared
-    fits = []
-    for fit_result, grid in zip(
-        trained.fits,
-        [TauGrid.single(t) for t in trained.grid.taus] if trained.per_tau
-        else [trained.grid],
-    ):
-        avg_loss = model.average_check_loss(
-            fit_result.params, trained.kind, prepared.train, grid,
-            trained.config.schedule.eps_end,
-        )
-        fits.append({
-            "taus": list(grid.taus),
-            "weights": list(grid.weights),
-            "tau_bar": grid.tau_bar,
-            "params": _params_to_dict(fit_result.params),
-            "final_objective": fit_result.final_objective,
-            "restart_index": fit_result.restart_index,
-            "converged": fit_result.converged,
-            "restart_objectives": list(fit_result.restart_objectives),
-            "avg_check_loss": avg_loss,
-            "stage_trace": [
-                {"epsilon": s.epsilon, "iterations": s.iterations, "nfev": s.nfev,
-                 "objective": s.objective, "stop": s.stop}
-                for s in fit_result.stage_trace
-            ],
-        })
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "command": command,
-        "config": config,
-        "panel": {
-            "individuals": list(dataset.individuals),
-            "periods": list(dataset.periods),
-            "train_periods": list(prepared.train.periods),
-            "test_periods": list(prepared.test.periods),
-            "q": prepared.train.q,
-            "p": prepared.train.p,
-            "z_names": list(prepared.train.z_names),
-            "x_names": list(prepared.train.x_names),
-            "response_name": prepared.train.response_name,
-        },
-        "standardization": _state_to_dict(prepared.state),
-        "fits": fits,
-    }
-
-
-def _load_artifact(path: str) -> dict:
-    try:
-        with open(path, encoding="utf-8") as handle:
-            artifact = json.load(handle)
-    except OSError as exc:
-        raise DataError(f"cannot read artifact {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise DataError(f"artifact {path} is not valid JSON: {exc}") from None
-    if artifact.get("schema_version") != SCHEMA_VERSION:
-        raise DataError(
-            f"artifact {path} has schema version {artifact.get('schema_version')!r}, "
-            f"expected {SCHEMA_VERSION}"
-        )
-    return artifact
-
-
-# ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
 
@@ -340,8 +140,8 @@ def cmd_ingest(args) -> int:
         "delimiter": args.delimiter,
     }
     if args.output:
-        _write_dataset(dataset, args.output, "ingest", config)
-    print(_dump_json({"config": config, "summary": summary}))
+        artifact.write_panel(dataset, args.output, "ingest", config)
+    print(dump_json({"config": config, "summary": summary}))
     return 0
 
 
@@ -357,14 +157,14 @@ def cmd_synth(args) -> int:
     dataset, truth = paneldata.generate_synthetic(config, args.seed)
     echo = {"command": "synth", "seed": args.seed, "output": args.output,
             "truth_output": args.truth_output, **asdict(config)}
-    _write_dataset(dataset, args.output, "synth", echo)
+    artifact.write_panel(dataset, args.output, "synth", echo)
     if args.truth_output:
-        _write_json(args.truth_output, {
+        artifact.write_json(args.truth_output, {
             "schema_version": SCHEMA_VERSION, "command": "synth", "config": echo,
             "truth": asdict(truth),
         })
-    print(_dump_json({"written": args.output, "n_individuals": dataset.n_individuals,
-                      "n_periods": dataset.n_periods}))
+    print(dump_json({"written": args.output, "n_individuals": dataset.n_individuals,
+                     "n_periods": dataset.n_periods}))
     return 0
 
 
@@ -379,17 +179,16 @@ def _prepare_and_train(args, command: str):
                          prepared.train.p)
     penalties = PenaltyConfig(args.lambda1, args.lambda2)
     train_config = _train_config_from(config)
-    return dataset, kind, grid, config, prepared, spec, penalties, train_config
+    return kind, grid, config, prepared, spec, penalties, train_config
 
 
 def cmd_train(args) -> int:
-    (dataset, kind, grid, config, prepared, spec, penalties,
-     train_config) = _prepare_and_train(args, "train")
+    kind, grid, config, prepared, spec, penalties, train_config = _prepare_and_train(
+        args, "train")
     trained = pipeline.train_model(prepared, kind, grid, penalties, spec, train_config,
                                    per_tau=args.per_tau)
-    artifact = _fit_artifact("train", config, trained, dataset)
-    _write_json(args.output, artifact)
-    print(_dump_json({
+    artifact.save(trained, args.output, "train", config)
+    print(dump_json({
         "written": args.output,
         "final_objectives": [f.final_objective for f in trained.fits],
     }))
@@ -397,8 +196,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_grid_search(args) -> int:
-    (dataset, kind, grid, config, prepared, spec, penalties,
-     train_config) = _prepare_and_train(args, "grid-search")
+    kind, grid, config, prepared, spec, penalties, train_config = _prepare_and_train(
+        args, "grid-search")
     if spec is None:
         raise ConfigError("grid search requires a network model kind")
     search = SearchGrid(
@@ -410,8 +209,8 @@ def cmd_grid_search(args) -> int:
     result = selection.grid_search(prepared.train, kind, grid, search, spec, train_config)
     if args.table_output:
         with open(args.table_output, "w", encoding="utf-8", newline="") as handle:
-            handle.write("# " + _dump_json_line({"command": "grid-search",
-                                                 "config": config}) + "\n")
+            handle.write("# " + dump_json({"command": "grid-search", "config": config},
+                                          indent=None) + "\n")
             writer = csv.writer(handle)
             writer.writerow(["n1", "n2", "lambda1", "lambda2", "avg_loss", "bic", "status"])
             for point in result.table:
@@ -427,15 +226,13 @@ def cmd_grid_search(args) -> int:
     chosen_spec = NetworkSpec(input_dim=prepared.train.p, hidden_sizes=chosen_hidden,
                               activation=args.activation)
     trained = pipeline.TrainedModel(
-        kind=kind, grid=grid, penalties=PenaltyConfig(best.lambda1, best.lambda2),
-        spec=chosen_spec, config=train_config, per_tau=False, fits=[result.best_fit],
-        prepared=prepared,
+        kind=kind, penalties=PenaltyConfig(best.lambda1, best.lambda2), spec=chosen_spec,
+        config=train_config, fits=[result.best_fit], prepared=prepared,
     )
     config["selected"] = {"n1": best.n1, "n2": best.n2, "lambda1": best.lambda1,
                           "lambda2": best.lambda2, "bic": best.bic}
-    artifact = _fit_artifact("grid-search", config, trained, dataset)
-    _write_json(args.output, artifact)
-    print(_dump_json({"written": args.output, "selected": config["selected"]}))
+    artifact.save(trained, args.output, "grid-search", config)
+    print(dump_json({"written": args.output, "selected": config["selected"]}))
     return 0
 
 
@@ -443,50 +240,33 @@ _PREDICTION_COLUMNS = ["individual", "period", "tau", "predicted"]
 
 
 def cmd_predict(args) -> int:
-    artifact = _load_artifact(args.artifact)
+    fitted = artifact.load(args.artifact)
     dataset = _load_dataset(args.input, args)
-    panel_info = artifact["panel"]
-    if list(dataset.individuals) != panel_info["individuals"]:
-        missing = sorted(set(panel_info["individuals"]) - set(dataset.individuals))
-        extra = sorted(set(dataset.individuals) - set(panel_info["individuals"]))
-        raise DataError(
-            f"dataset individuals do not match the artifact: missing {missing}, "
-            f"unexpected {extra}"
-        )
-    scenario = args.scenario if args.scenario else artifact["config"]["scenario"]
-    prepared = pipeline.prepare_scenario(
-        dataset, scenario, standardize=False,
-    )
+    scenario = args.scenario if args.scenario else fitted.scenario
+    prepared = pipeline.prepare_scenario(dataset, scenario, standardize=False)
     panel = prepared.train if args.which == "train" else prepared.test
-    state = _state_from_dict(artifact["standardization"])
-    if state is not None:
-        panel = paneldata.apply_standardization(panel, state)
+    predictions = artifact.predict(fitted, panel)
     labels = paneldata._csv_fields(panel.individuals)
     t = len(panel.periods)
     individual_cells = [label for label in labels for _ in range(t)]
     period_cells = list(map(str, panel.periods)) * len(labels)
-    blocks = []
-    for fit in artifact["fits"]:
-        params = _params_from_dict(fit["params"])
-        kind = ModelKind(artifact["config"]["kind"])
-        pred = model.predict_panel(params, kind, panel)
-        if state is not None:
-            pred = paneldata.destandardize_response(pred, state)
-        tau_label = "" if len(fit["taus"]) > 1 else repr(fit["taus"][0])
-        blocks.append((individual_cells, period_cells, [tau_label] * len(period_cells),
-                       list(map(repr, pred.ravel().tolist()))))
+    blocks = [
+        (individual_cells, period_cells, [tau_label] * len(period_cells),
+         list(map(repr, pred.ravel().tolist())))
+        for tau_label, pred in zip(fitted.tau_labels, predictions)
+    ]
     with open(args.output, "w", encoding="utf-8", newline="") as handle:
-        handle.write("# " + _dump_json_line({
+        handle.write("# " + dump_json({
             "command": "predict", "config": {
                 "artifact": args.artifact, "input": args.input, "output": args.output,
                 "scenario": scenario, "which": args.which,
             },
-            "source_config": artifact["config"],
-        }) + "\n")
+            "source_config": fitted.config,
+        }, indent=None) + "\n")
         csv.writer(handle).writerow(_PREDICTION_COLUMNS)
         for block in blocks:
             paneldata._write_rows(handle, block)
-    print(_dump_json({"written": args.output, "rows": len(blocks) * len(period_cells)}))
+    print(dump_json({"written": args.output, "rows": len(blocks) * len(period_cells)}))
     return 0
 
 
@@ -575,11 +355,11 @@ def cmd_evaluate(args) -> int:
         "report": rep.to_dict(),
     }
     if args.output:
-        _write_json(args.output, document)
+        artifact.write_json(args.output, document)
     if args.series_output:
         with open(args.series_output, "w", encoding="utf-8", newline="") as handle:
-            handle.write("# " + _dump_json_line({"command": "evaluate",
-                                                 "config": config}) + "\n")
+            handle.write("# " + dump_json({"command": "evaluate", "config": config},
+                                          indent=None) + "\n")
             csv.writer(handle).writerow(["individual", "period", "actual", "predicted"])
             labels = paneldata._csv_fields(individuals)
             paneldata._write_rows(handle, [
@@ -588,8 +368,8 @@ def cmd_evaluate(args) -> int:
                 list(map(repr, act.ravel().tolist())),
                 list(map(repr, pred.ravel().tolist())),
             ])
-    print(_dump_json({"total_mape": rep.total_mape, "total_rrmse": rep.total_rrmse,
-                      "written": args.output}))
+    print(dump_json({"total_mape": rep.total_mape, "total_rrmse": rep.total_rrmse,
+                     "written": args.output}))
     return 0
 
 

@@ -25,12 +25,10 @@ __all__ = [
     "ModelParameters",
     "PenaltyConfig",
     "PanelDesign",
-    "ShrinkageSummary",
     "predict_panel",
     "objective",
     "objective_gradient",
     "average_check_loss",
-    "shrink_report",
     "pack_parameters",
     "unpack_parameters",
 ]
@@ -243,7 +241,7 @@ def _evaluate(problem: _Problem, vector: np.ndarray, epsilon: float, *,
             grad_alpha += p.lambda1 * alpha_hub_deriv / n
         grad[p.alpha] = grad_alpha
     if p.layout is not None:
-        grad_net, _ = network.backward_batch(net, cache, cotangent.ravel())
+        grad_net = network.backward_batch(net, cache, cotangent.ravel())
         if p.lambda2 > 0.0:
             for h in p.layout.hidden_weights:
                 grad_net[h] += (2.0 * p.lambda2 / p.hidden_count) * net_vector[h]
@@ -320,31 +318,6 @@ def predict_panel(params: ModelParameters, kind: ModelKind, dataset) -> np.ndarr
         ann, _ = network.forward_batch(params.net, design.x)
         pred += ann
     return pred.reshape(design.n_individuals, design.n_periods)
-
-
-@dataclass(frozen=True)
-class ShrinkageSummary:
-    """How far the penalized parameter groups sit from zero."""
-
-    alpha_abs_sum: float
-    alpha_abs_max: float
-    hidden_weight_sq_sum: float
-
-
-def shrink_report(params: ModelParameters) -> ShrinkageSummary:
-    """Exact aggregates of the penalized parameter groups."""
-    alpha_abs = np.abs(params.alpha)
-    sq = 0.0
-    if params.net is not None:
-        sq = math.fsum(
-            float(np.sum(w * w))
-            for w in params.net.weights[: params.net.spec.n_hidden_layers]
-        )
-    return ShrinkageSummary(
-        alpha_abs_sum=math.fsum(alpha_abs.tolist()),
-        alpha_abs_max=float(alpha_abs.max()) if alpha_abs.size else 0.0,
-        hidden_weight_sq_sum=sq,
-    )
 
 
 def pack_parameters(params: ModelParameters, kind: ModelKind) -> np.ndarray:

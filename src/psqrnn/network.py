@@ -18,8 +18,6 @@ __all__ = [
     "NetworkParameters",
     "NetworkViews",
     "FlatLayout",
-    "activate",
-    "activate_deriv",
     "init_parameters",
     "forward_batch",
     "backward_batch",
@@ -90,29 +88,6 @@ _ACTIVATIONS = {
     "softplus": (_softplus, _softplus_deriv),
     "relu": (_relu, _relu_deriv),
 }
-
-
-def activate(x, kind: str, alpha: float = 1.0):
-    """Apply the named activation elementwise; ``alpha`` only affects ELU."""
-    try:
-        fn, _ = _ACTIVATIONS[kind]
-    except KeyError:
-        raise ConfigError(
-            f"unsupported activation {kind!r}; choose from {sorted(_ACTIVATIONS)}"
-        ) from None
-    return fn(np.asarray(x, dtype=float), alpha)
-
-
-def activate_deriv(x, kind: str, alpha: float = 1.0):
-    """Elementwise derivative of :func:`activate`."""
-    try:
-        fn, dfn = _ACTIVATIONS[kind]
-    except KeyError:
-        raise ConfigError(
-            f"unsupported activation {kind!r}; choose from {sorted(_ACTIVATIONS)}"
-        ) from None
-    x = np.asarray(x, dtype=float)
-    return dfn(x, fn(x, alpha), alpha)
 
 
 @dataclass(frozen=True)
@@ -197,14 +172,6 @@ class NetworkParameters:
         return NetworkParameters(
             self.spec, [w.copy() for w in self.weights], [b.copy() for b in self.biases]
         )
-
-
-def zero_parameters(spec: NetworkSpec) -> NetworkParameters:
-    """All-zero parameters for ``spec``."""
-    sizes = spec.layer_sizes
-    weights = [np.zeros((sizes[l], sizes[l + 1])) for l in range(len(sizes) - 1)]
-    biases = [np.zeros(h) for h in spec.hidden_sizes]
-    return NetworkParameters(spec, weights, biases)
 
 
 def init_parameters(spec: NetworkSpec, seed: int) -> NetworkParameters:
@@ -309,7 +276,7 @@ def forward_batch(params, x: np.ndarray):
     return out, (pre, acts)
 
 
-def backward_batch(params, cache, cotangent: np.ndarray, with_input_grad: bool = False):
+def backward_batch(params, cache, cotangent: np.ndarray) -> np.ndarray:
     """Reverse-mode pass: gradients of sum(cotangent * output) over a batch.
 
     ``cache`` is what :func:`forward_batch` returned for these parameters; its
@@ -319,8 +286,6 @@ def backward_batch(params, cache, cotangent: np.ndarray, with_input_grad: bool =
     -------
     grad : ndarray, shape (spec.parameter_count,)
         Gradients summed over the batch, laid out as :func:`flatten` does.
-    input_grad : ndarray or None
-        d(sum)/dx of shape (n, input_dim) when requested.
     """
     spec = params.spec
     pre, acts = cache
@@ -341,10 +306,9 @@ def backward_batch(params, cache, cotangent: np.ndarray, with_input_grad: bool =
         # ravel is the column-major layout flatten uses.
         parts[2 * l] = (dz @ acts[l].T).ravel()
         parts[2 * l + 1] = dz.sum(axis=1)
-        if l > 0 or with_input_grad:
+        if l > 0:
             upstream = params.weights[l] @ dz
-    grad = np.concatenate(parts)
-    return grad, (upstream.T if with_input_grad else None)
+    return np.concatenate(parts)
 
 
 def flatten(params: NetworkParameters) -> np.ndarray:

@@ -272,6 +272,11 @@ def _codes(labels: list) -> tuple[list, np.ndarray]:
     return distinct, np.fromiter(map(position.__getitem__, labels), np.intp, len(labels))
 
 
+def _check_delimiter(delimiter) -> None:
+    if not isinstance(delimiter, str) or len(delimiter) != 1:
+        raise ConfigError(f"delimiter must be a single character, got {delimiter!r}")
+
+
 def ingest(path, schema: PanelSchema = DEFAULT_SCHEMA, delimiter: str = ",") -> PanelDataset:
     """Read a delimited panel file into a balanced dataset.
 
@@ -281,6 +286,7 @@ def ingest(path, schema: PanelSchema = DEFAULT_SCHEMA, delimiter: str = ",") -> 
     Lines starting with '#' are ignored; error messages give physical line
     numbers, comment lines included.
     """
+    _check_delimiter(delimiter)
     value_cols = [schema.response, *schema.covariate_names()]
     with open(path, encoding="utf-8", newline="") as handle:
         lines = itertools.filterfalse(_is_comment, handle)
@@ -358,12 +364,23 @@ def ingest(path, schema: PanelSchema = DEFAULT_SCHEMA, delimiter: str = ",") -> 
 
 
 def _csv_fields(cells, delimiter: str = ",") -> list[str]:
-    """Each cell as :func:`csv.writer` writes it inside a row, quoted only if needed."""
+    """Each cell as :func:`csv.writer` writes it inside a row, quoted only if needed.
+
+    These cells start their lines, and a reader skips a line that starts
+    with '#' as a comment. So a cell that starts with '#' is quoted too, and
+    one with a '#' right after a line break is refused.
+    """
+    for cell in cells:
+        if "\n#" in cell or "\r#" in cell:
+            raise DataError(f"label {cell!r} has a line starting with '#', "
+                            "which a reader would skip as a comment")
     # writerow returns what the file's write returned: here, the row's text.
     writer = csv.writer(SimpleNamespace(write=str), delimiter=delimiter)
     # A lone empty field would be quoted, so each row ends in an empty field,
     # cut off again with the delimiter and the "\r\n" terminator.
-    return [writer.writerow((cell, ""))[:-3] for cell in cells]
+    fields = [writer.writerow((cell, ""))[:-3] for cell in cells]
+    # Such a field holds no quote character, or csv.writer would have quoted it.
+    return [f'"{field}"' if _is_comment(field) else field for field in fields]
 
 
 def _write_rows(handle, columns, delimiter: str = ",") -> None:
@@ -379,9 +396,10 @@ def emit(dataset: PanelDataset, path, delimiter: str = ",", preamble: str = "") 
     Individual labels are quoted where they need it; number cells never do,
     so a delimiter that can occur in a number is refused.
     """
-    labels = _csv_fields(dataset.individuals, delimiter)
+    _check_delimiter(delimiter)
     if delimiter in _NUMBER_CHARS:
         raise ConfigError(f"delimiter {delimiter!r} can occur inside a number")
+    labels = _csv_fields(dataset.individuals, delimiter)
     names = dataset.physical_names()
     t = dataset.n_periods
     columns = [

@@ -44,6 +44,8 @@ class PreparedScenario:
     train: PanelDataset
     test: PanelDataset
     state: Optional[StandardizationState]
+    #: Periods of the panel the split was made from.
+    periods: tuple[int, ...]
 
 
 def prepare_scenario(dataset: PanelDataset, scenario: int,
@@ -61,7 +63,8 @@ def prepare_scenario(dataset: PanelDataset, scenario: int,
     if standardize:
         train, state = paneldata.standardize(train)
         test = paneldata.apply_standardization(test, state)
-    return PreparedScenario(split=split, train=train, test=test, state=state)
+    return PreparedScenario(split=split, train=train, test=test, state=state,
+                            periods=dataset.periods)
 
 
 @dataclass
@@ -69,11 +72,10 @@ class TrainedModel:
     """Fits plus everything needed to reuse them on new data."""
 
     kind: ModelKind
-    grid: TauGrid
     penalties: PenaltyConfig
     spec: Optional[NetworkSpec]
     config: TrainConfig
-    per_tau: bool
+    #: One composite fit, or one fit per level; each carries its grid.
     fits: list[FitResult]
     prepared: PreparedScenario
 
@@ -92,10 +94,8 @@ def train_model(prepared: PreparedScenario, kind: ModelKind, grid: TauGrid,
         fits = trainer.fit_per_tau(prepared.train, kind, grid.taus, penalties, spec, config)
     else:
         fits = [trainer.fit(prepared.train, kind, grid, penalties, spec, config)]
-    return TrainedModel(
-        kind=kind, grid=grid, penalties=penalties, spec=spec, config=config,
-        per_tau=per_tau, fits=fits, prepared=prepared,
-    )
+    return TrainedModel(kind=kind, penalties=penalties, spec=spec, config=config, fits=fits,
+                        prepared=prepared)
 
 
 def _panel(prepared: PreparedScenario, subset: str) -> PanelDataset:

@@ -99,6 +99,8 @@ class FitResult:
     """Winning restart of a training run."""
 
     params: ModelParameters
+    #: The quantile grid whose objective was minimized.
+    grid: TauGrid
     final_objective: float
     restart_index: int
     stage_trace: list[StageRecord]
@@ -249,6 +251,7 @@ def fit(dataset, kind: ModelKind, grid: TauGrid, penalties: PenaltyConfig,
         if best is None or final_value < best.final_objective:
             best = FitResult(
                 params=model.unpack_parameters(x, kind, q, n, net_spec),
+                grid=grid,
                 final_objective=final_value,
                 restart_index=restart,
                 stage_trace=trace,

@@ -11,9 +11,26 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from psqrnn import losses, network
+from psqrnn import losses
 from psqrnn.model import ModelKind, ModelParameters, PanelDesign, PenaltyConfig
 from psqrnn.network import NetworkParameters
+
+
+def _logistic(x):
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
+
+
+#: name -> (activation f(x, alpha), derivative f'(x, alpha)), written from x alone.
+ACTIVATIONS = {
+    "elu": (lambda x, a: np.where(x > 0.0, x, a * np.expm1(np.minimum(x, 0.0))),
+            lambda x, a: np.where(x >= 0.0, 1.0, a * np.exp(np.minimum(x, 0.0)))),
+    "sigmoid": (lambda x, a: _logistic(x),
+                lambda x, a: _logistic(x) * (1.0 - _logistic(x))),
+    "tanh": (lambda x, a: np.tanh(x), lambda x, a: 1.0 - np.tanh(x) ** 2),
+    "softplus": (lambda x, a: np.logaddexp(0.0, x), lambda x, a: _logistic(x)),
+    "relu": (lambda x, a: np.maximum(x, 0.0), lambda x, a: (x > 0.0).astype(float)),
+}
 
 
 def forward_rows(params: NetworkParameters, x: np.ndarray):
@@ -23,7 +40,7 @@ def forward_rows(params: NetworkParameters, x: np.ndarray):
     for l in range(spec.n_hidden_layers):
         z = g @ params.weights[l] + params.biases[l]
         pre.append(z)
-        g = network.activate(z, spec.activation, spec.elu_alpha)
+        g = ACTIVATIONS[spec.activation][0](z, spec.elu_alpha)
         acts.append(g)
     return (g @ params.weights[-1])[:, 0], (pre, acts)
 
@@ -38,7 +55,7 @@ def backward_rows(params: NetworkParameters, cache, cotangent: np.ndarray) -> Ne
     grad_w[n_layers] = acts[-1].T @ cotangent[:, None]
     upstream = np.outer(cotangent, params.weights[-1][:, 0])
     for l in range(n_layers - 1, -1, -1):
-        dz = upstream * network.activate_deriv(pre[l], spec.activation, spec.elu_alpha)
+        dz = upstream * ACTIVATIONS[spec.activation][1](pre[l], spec.elu_alpha)
         grad_w[l] = acts[l].T @ dz
         grad_b[l] = dz.sum(axis=0)
         upstream = dz @ params.weights[l].T

@@ -9,6 +9,7 @@ summation order.
 """
 
 import csv
+import io
 import math
 
 import numpy as np
@@ -118,7 +119,11 @@ def ingest_rowwise(path, schema: PanelSchema = DEFAULT_SCHEMA,
 
 def emit_cellwise(dataset: PanelDataset, path, delimiter: str = ",",
                   preamble: str = "") -> None:
-    """Reference writer: one ``repr(float(...))`` per observed cell."""
+    """Reference writer: one ``repr(float(...))`` per observed cell.
+
+    A row that would start with '#', and so read as a comment, has its
+    label quoted.
+    """
     names = dataset.physical_names()
     columns = {name: dataset.column(name) for name in names}
     with open(path, "w", encoding="utf-8", newline="") as handle:
@@ -126,13 +131,21 @@ def emit_cellwise(dataset: PanelDataset, path, delimiter: str = ",",
             handle.write(f"# {line}\n")
         writer = csv.writer(handle, delimiter=delimiter)
         writer.writerow([dataset.individual_label, dataset.period_label, *names])
+        buffer = io.StringIO()
+        row_writer = csv.writer(buffer, delimiter=delimiter)
         for i, ind in enumerate(dataset.individuals):
             for j, per in enumerate(dataset.periods):
                 cells = [ind, str(per)]
                 for name in names:
                     values, mask = columns[name]
                     cells.append("" if mask[i, j] else repr(float(values[i, j])))
-                writer.writerow(cells)
+                buffer.seek(0)
+                buffer.truncate()
+                row_writer.writerow(cells)
+                text = buffer.getvalue()
+                if text.startswith("#"):
+                    text = f'"{ind}"' + text[len(ind):]
+                handle.write(text)
 
 
 def impute_mean_rowwise(dataset: PanelDataset) -> PanelDataset:

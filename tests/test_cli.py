@@ -4,11 +4,13 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from psqrnn import cli
+from psqrnn.artifact import embedded_schema
 from psqrnn.losses import TauGrid
 from psqrnn.model import ModelKind, PenaltyConfig
 from psqrnn.paneldata import SyntheticConfig, emit, generate_synthetic
@@ -141,6 +143,14 @@ class TestIngest:
         for stats in doc["summary"]["variables"].values():
             assert stats["skewness_by_period"] == [None] * 3
             assert stats["kurtosis_by_period"] == [None] * 3
+
+    @pytest.mark.parametrize("delimiter", ["ab", ""])
+    def test_delimiter_of_other_length_is_a_usage_error(self, synth_csv, capsys, delimiter):
+        capsys.readouterr()
+        assert run(["ingest", "--input", str(synth_csv), "--delimiter", delimiter]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: delimiter must be a single character")
+        assert "Traceback" not in err
 
     def test_canonical_output_reingestable(self, synth_csv, tmp_path, capsys):
         out = tmp_path / "canonical.csv"
@@ -384,6 +394,30 @@ class TestPredictEvaluate:
         assert run(["predict", "--artifact", str(art), "--input", str(other),
                     "--output", str(tmp_path / "p.csv")]) == 2
 
+    @pytest.mark.parametrize("flags, shown", [
+        (["--parametric", "z2,z1", "--network", "x2,x1"],
+         "parametric ['z2', 'z1'], network ['x2', 'x1']"),
+        (["--parametric", "z1"], "parametric ['z1'], network ['x1', 'x2']"),
+    ])
+    def test_covariates_other_than_the_artifact_are_a_data_error(
+            self, synth_csv, tmp_path, capsys, flags, shown):
+        # Without standardization no saved state checks the columns.
+        art = self.fit_artifact(synth_csv, tmp_path, extra=["--no-standardize"])
+        capsys.readouterr()
+        assert run(["predict", "--artifact", str(art), "--input", str(synth_csv),
+                    "--output", str(tmp_path / "p.csv"), *flags]) == 2
+        err = capsys.readouterr().err
+        assert shown in err
+        assert "fitted on parametric ['z1', 'z2'], network ['x1', 'x2']" in err
+
+    def test_malformed_artifact_is_a_data_error(self, synth_csv, tmp_path):
+        art = self.fit_artifact(synth_csv, tmp_path)
+        document = json.loads(art.read_text())
+        del document["fits"][0]["params"]
+        art.write_text(json.dumps(document))
+        assert run(["predict", "--artifact", str(art), "--input", str(synth_csv),
+                    "--output", str(tmp_path / "p.csv")]) == 2
+
     def test_noiseless_train_rows_reproduce_response(self, tmp_path):
         panel = tmp_path / "noiseless.csv"
         run(["synth", "--output", str(panel), "--seed", "2", "--n-individuals", "3",
@@ -564,7 +598,7 @@ class TestWritersQuoteLabels:
         ds, _ = generate_synthetic(SyntheticConfig(n_individuals=4, n_periods=12), 5)
         ds.individuals = ("plain", "a,b", 'say "hi"', "two\r\nlines")
         panel = tmp_path / "panel.csv"
-        emit(ds, panel, preamble=json.dumps({"schema": cli._schema_dict(ds.schema())}))
+        emit(ds, panel, preamble=json.dumps({"schema": asdict(ds.schema())}))
         art, pred, series = (tmp_path / name for name in ("fit.json", "pred.csv", "series.csv"))
         assert run(["train", "--input", str(panel), "--output", str(art), "--kind", "linear",
                     "--restarts", "1", "--max-iters", "2"]) == 0
@@ -680,11 +714,6 @@ print(json.dumps([code, {_SCIPY_LOADED}]))
         assert "scipy.optimize" in modules
 
 
-def _embedded_schema(path):
-    from psqrnn.cli import _peek_embedded, _schema_from_dict
-    return _schema_from_dict(_peek_embedded(path)["schema"])
-
-
 def _ingest_embedded(path):
     from psqrnn.paneldata import ingest
-    return ingest(path, _embedded_schema(path))
+    return ingest(path, embedded_schema(path))

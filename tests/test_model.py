@@ -19,10 +19,13 @@ from psqrnn.model import (
     objective_gradient,
     pack_parameters,
     predict_panel,
-    shrink_report,
     unpack_parameters,
 )
 from psqrnn.network import NetworkParameters, NetworkSpec
+
+
+def zero_net(spec):
+    return network.unflatten(np.zeros(spec.parameter_count), spec)
 
 
 def identity_chain_params(beta, alpha):
@@ -55,13 +58,13 @@ def fd_gradient(params, kind, ds, grid, pen, eps, q, n, spec, step=1e-6):
 class TestPredict:
     def test_linear_sum(self):
         params = ModelParameters(np.array([1.0, 1.0]), np.array([0.5]),
-                                 network.zero_parameters(NetworkSpec(1, (1,))))
+                                 zero_net(NetworkSpec(1, (1,))))
         ds = make_panel([[0.0]], z=[[[2.0, 3.0]]], x=[[[0.0]]])
         assert predict_panel(params, ModelKind.PSQRNN, ds)[0, 0] == 5.5
 
     def test_qrnn_zero_network(self):
         params = ModelParameters(np.zeros(0), np.zeros(2),
-                                 network.zero_parameters(NetworkSpec(2, (3,))))
+                                 zero_net(NetworkSpec(2, (3,))))
         ds = make_panel(np.zeros((2, 1)), z=np.full((2, 1, 1), 9.0),
                         x=[[[1.0, 2.0]], [[1.0, 2.0]]])
         assert np.array_equal(predict_panel(params, ModelKind.QRNN, ds), np.zeros((2, 1)))
@@ -87,7 +90,7 @@ class TestPredict:
 
     def test_missing_covariate_rejected(self, rng):
         ds, spec = random_instance(rng, 2, 3, 1, 1)
-        params = ModelParameters(np.zeros(1), np.zeros(2), network.zero_parameters(spec))
+        params = ModelParameters(np.zeros(1), np.zeros(2), zero_net(spec))
         ds.missing_mask[0, 1, 2] = True
         with pytest.raises(DataError, match="covariates"):
             predict_panel(params, ModelKind.PSQRNN, ds)
@@ -96,7 +99,7 @@ class TestPredict:
 class TestObjective:
     def test_single_cell_example(self):
         params = ModelParameters(np.zeros(0), np.zeros(1),
-                                 network.zero_parameters(NetworkSpec(1, (1,))))
+                                 zero_net(NetworkSpec(1, (1,))))
         ds = make_panel([[1.0]], x=np.zeros((1, 1, 1)))
         value = objective(params, ModelKind.PSQRNN, ds, TauGrid.single(0.5),
                           PenaltyConfig(), 0.25)
@@ -427,28 +430,6 @@ class TestPackUnpack:
         if kind.uses_network:
             assert all(np.array_equal(a, b)
                        for a, b in zip(back.net.weights, params.net.weights))
-
-
-class TestShrinkReport:
-    def test_examples(self):
-        report = shrink_report(ModelParameters(np.zeros(0), np.array([1.0, -1.0]), None))
-        assert report.alpha_abs_sum == 2.0
-        assert report.alpha_abs_max == 1.0
-        assert report.hidden_weight_sq_sum == 0.0
-
-        zero = shrink_report(ModelParameters(np.zeros(0), np.zeros(3), None))
-        assert zero.alpha_abs_sum == 0.0 and zero.alpha_abs_max == 0.0
-
-        report = shrink_report(ModelParameters(np.zeros(0), np.array([0.5, 0.5, -2.0]), None))
-        assert report.alpha_abs_sum == 3.0
-        assert report.alpha_abs_max == 2.0
-
-    def test_hidden_weights_only(self):
-        spec = NetworkSpec(1, (1,))
-        net = NetworkParameters(spec, [np.array([[3.0]]), np.array([[5.0]])],
-                                [np.array([0.0])])
-        report = shrink_report(ModelParameters(np.zeros(0), np.zeros(1), net))
-        assert report.hidden_weight_sq_sum == 9.0
 
 
 class TestPanelDesign:

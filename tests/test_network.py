@@ -10,10 +10,22 @@ from psqrnn.errors import ConfigError
 from psqrnn.network import NetworkParameters, NetworkSpec
 
 
-def gradients(params, x, cotangent, with_input_grad=False):
+def gradients(params, x, cotangent):
     """Batch outputs and the gradients of sum(cotangent * output)."""
     out, cache = net.forward_batch(params, x)
-    return (out, *net.backward_batch(params, cache, cotangent, with_input_grad))
+    return out, net.backward_batch(params, cache, cotangent)
+
+
+def zeros(spec):
+    return net.unflatten(np.zeros(spec.parameter_count), spec)
+
+
+def activate(x, kind, derivative=False):
+    """The named activation, or its derivative, as the network applies it (alpha 1)."""
+    fn, dfn = net._ACTIVATIONS[kind]
+    x = np.asarray(x, dtype=float)
+    y = fn(x, 1.0)
+    return dfn(x, y, 1.0) if derivative else y
 
 
 def finite_diff_grad(params, x, cotangent, step=1e-6):
@@ -30,23 +42,23 @@ def finite_diff_grad(params, x, cotangent, step=1e-6):
 
 class TestActivate:
     def test_elu_examples(self):
-        assert net.activate(0.0, "elu") == 0.0
-        assert net.activate(2.0, "elu") == 2.0
-        assert net.activate(-1.0, "elu") == pytest.approx(math.exp(-1) - 1, rel=1e-15)
+        assert activate(0.0, "elu") == 0.0
+        assert activate(2.0, "elu") == 2.0
+        assert activate(-1.0, "elu") == pytest.approx(math.exp(-1) - 1, rel=1e-15)
 
     def test_standard_forms(self):
-        assert net.activate(0.3, "sigmoid") == pytest.approx(1 / (1 + math.exp(-0.3)))
-        assert net.activate(0.3, "tanh") == pytest.approx(math.tanh(0.3))
-        assert net.activate(0.3, "softplus") == pytest.approx(math.log(1 + math.exp(0.3)))
-        assert net.activate(-0.3, "relu") == 0.0
-        assert net.activate(0.3, "relu") == pytest.approx(0.3)
+        assert activate(0.3, "sigmoid") == pytest.approx(1 / (1 + math.exp(-0.3)))
+        assert activate(0.3, "tanh") == pytest.approx(math.tanh(0.3))
+        assert activate(0.3, "softplus") == pytest.approx(math.log(1 + math.exp(0.3)))
+        assert activate(-0.3, "relu") == 0.0
+        assert activate(0.3, "relu") == pytest.approx(0.3)
 
     def test_unsupported_kind(self):
-        with pytest.raises(ConfigError):
-            net.activate(1.0, "swish")
+        with pytest.raises(ConfigError, match="unsupported activation 'swish'"):
+            NetworkSpec(1, (1,), "swish")
 
     def test_softplus_large_input_stable(self):
-        assert net.activate(800.0, "softplus") == pytest.approx(800.0)
+        assert activate(800.0, "softplus") == pytest.approx(800.0)
 
     @pytest.mark.parametrize("kind, derivative", [("sigmoid", False), ("softplus", True)])
     def test_logistic_matches_scipy_expit_silently(self, kind, derivative):
@@ -54,10 +66,9 @@ class TestActivate:
         # function; exp(-x) overflows for x <= -710, which must stay silent.
         x = np.concatenate([np.linspace(-750.0, 750.0, 600_001),
                             [-np.inf, np.inf, -710.0, 710.0, -709.7, 709.7]])
-        fn = net.activate_deriv if derivative else net.activate
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = fn(x, kind)
+            got = activate(x, kind, derivative)
         np.testing.assert_allclose(got, expit(x), rtol=1e-15, atol=0.0)
         assert got[-6:-2].tolist() == [0.0, 1.0, 0.0, 1.0]
 
@@ -65,7 +76,7 @@ class TestActivate:
 class TestForward:
     def test_zero_network_maps_to_zero(self, rng):
         spec = NetworkSpec(3, (4, 2))
-        params = net.zero_parameters(spec)
+        params = zeros(spec)
         out, _ = net.forward_batch(params, rng.standard_normal((5, 3)))
         assert np.array_equal(out, np.zeros(5))
 
@@ -92,7 +103,7 @@ class TestForward:
 
     def test_dimension_mismatch(self):
         spec = NetworkSpec(2, (2,))
-        params = net.zero_parameters(spec)
+        params = zeros(spec)
         with pytest.raises(ValueError):
             net.forward_batch(params, [[1.0, 2.0, 3.0]])
         with pytest.raises(ValueError):
@@ -137,20 +148,20 @@ class TestBackward:
     def test_zero_params_output_weight_grad(self):
         # With all parameters zero, d out / d W_out_j = activation(0) = 0 for ELU.
         spec = NetworkSpec(2, (3,), "elu")
-        params = net.zero_parameters(spec)
-        _, grads, _ = gradients(params, np.array([[0.7, -0.2]]), np.ones(1))
+        params = zeros(spec)
+        _, grads = gradients(params, np.array([[0.7, -0.2]]), np.ones(1))
         assert np.array_equal(net.unflatten(grads, spec).weights[-1], np.zeros((3, 1)))
 
     def test_identity_chain_output_grad(self):
         spec = NetworkSpec(1, (1,), "elu")
         params = NetworkParameters(spec, [np.array([[1.0]]), np.array([[1.0]])],
                                    [np.array([0.0])])
-        value, grads, _ = gradients(params, np.array([[2.0]]), np.ones(1))
+        value, grads = gradients(params, np.array([[2.0]]), np.ones(1))
         assert value.tolist() == [2.0]
         assert net.unflatten(grads, spec).weights[-1][0, 0] == 2.0
 
     def test_cotangent_shape_mismatch(self):
-        params = net.zero_parameters(NetworkSpec(2, (3,)))
+        params = zeros(NetworkSpec(2, (3,)))
         with pytest.raises(ValueError):
             gradients(params, np.zeros((4, 2)), np.ones(3))
 
@@ -160,7 +171,7 @@ class TestBackward:
         params = net.init_parameters(spec, 11)
         x = rng.standard_normal((5, 2))
         cotangent = rng.standard_normal(5)
-        _, grads, _ = gradients(params, x, cotangent)
+        _, grads = gradients(params, x, cotangent)
         analytic = grads
         numeric = finite_diff_grad(params, x, cotangent)
         assert np.max(np.abs(analytic - numeric) / np.maximum(1, np.abs(numeric))) < 1e-5
@@ -171,7 +182,7 @@ class TestBackward:
         params = net.init_parameters(spec, 4)
         x = rng.standard_normal((6, 2))
         cotangent = rng.standard_normal(6)
-        _, grads, _ = gradients(params, x, cotangent)
+        _, grads = gradients(params, x, cotangent)
         numeric = finite_diff_grad(params, x, cotangent)
         assert np.max(np.abs(grads - numeric) / np.maximum(1, np.abs(numeric))) < 1e-5
 
@@ -185,27 +196,11 @@ class TestBackward:
             rows = int(rng.integers(1, 6))
             x = rng.standard_normal((rows, p))
             cotangent = rng.standard_normal(rows)
-            _, grads, _ = gradients(params, x, cotangent)
+            _, grads = gradients(params, x, cotangent)
             analytic = grads
             numeric = finite_diff_grad(params, x, cotangent)
             rel = np.max(np.abs(analytic - numeric) / np.maximum(1, np.abs(numeric)))
             assert rel < 1e-5, f"draw {draw}: rel err {rel}"
-
-    def test_input_gradient(self, rng):
-        spec = NetworkSpec(3, (4,), "tanh")
-        params = net.init_parameters(spec, 3)
-        x = rng.standard_normal((2, 3))
-        cotangent = np.array([1.0, -0.5])
-        _, _, gx = gradients(params, x, cotangent, with_input_grad=True)
-        step = 1e-6
-        for i in range(2):
-            for j in range(3):
-                e = np.zeros((2, 3))
-                e[i, j] = step
-                up, _ = net.forward_batch(params, x + e)
-                down, _ = net.forward_batch(params, x - e)
-                fd = cotangent @ (up - down) / (2 * step)
-                assert gx[i, j] == pytest.approx(fd, rel=1e-6, abs=1e-9)
 
 
 class TestInitParameters:
@@ -243,14 +238,14 @@ class TestFlatten:
 
     def test_zero_length(self):
         spec = NetworkSpec(3, (4, 2))
-        vec = net.flatten(net.zero_parameters(spec))
+        vec = net.flatten(zeros(spec))
         expected = (3 * 4 + 4 * 2 + 2 * 1) + (4 + 2)
         assert vec.shape == (expected,)
         assert not vec.any()
 
     def test_minimal_network_length(self):
         spec = NetworkSpec(1, (1,))
-        assert net.flatten(net.zero_parameters(spec)).size == 3
+        assert net.flatten(zeros(spec)).size == 3
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
@@ -258,7 +253,7 @@ class TestFlatten:
 
     def test_ordering_is_column_major(self):
         spec = NetworkSpec(2, (2,))
-        params = net.zero_parameters(spec)
+        params = zeros(spec)
         params.weights[0] = np.array([[1.0, 3.0], [2.0, 4.0]])
         params.biases[0] = np.array([5.0, 6.0])
         params.weights[1] = np.array([[7.0], [8.0]])

@@ -282,6 +282,53 @@ class TestEmitMatchesCellwiseOracle:
         with pytest.raises(ConfigError, match="can occur inside a number"):
             emit(masked_synthetic(4), tmp_path / "out.csv", delimiter=delimiter)
 
+    @pytest.mark.parametrize("delimiter", ["ab", ""])
+    def test_delimiter_must_be_one_character_before_any_io(self, tmp_path, delimiter):
+        with pytest.raises(ConfigError, match="single character"):
+            emit(masked_synthetic(4), tmp_path / "out.csv", delimiter=delimiter)
+        assert not (tmp_path / "out.csv").exists()
+        with pytest.raises(ConfigError, match="single character"):
+            ingest(tmp_path / "absent.csv", TOY_SCHEMA, delimiter=delimiter)
+
+    @pytest.mark.parametrize("label", ["a\n#b", "a\r\n# b", "a\r#"])
+    def test_refuses_a_label_with_a_line_starting_with_hash(self, tmp_path, label):
+        ds = masked_synthetic(4, n=2)
+        ds.individuals = ("plain", label)
+        with pytest.raises(DataError, match="skip as a comment"):
+            emit(ds, tmp_path / "out.csv")
+
+
+#: Labels ingest can give back: it strips cells, and a label with a line
+#: that starts with '#' is refused by emit (see above).
+ROUND_TRIP_LABELS = st.text(st.sampled_from(list('ab#,;\t" \r\n')), max_size=5).filter(
+    lambda s: s == s.strip() and "\n#" not in s and "\r#" not in s)
+
+
+class TestEmitIngestRoundTrip:
+    """ingest reads back exactly the panel emit wrote."""
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_identity(self, tmp_path, data):
+        labels = sorted(data.draw(st.lists(ROUND_TRIP_LABELS, min_size=1, max_size=4,
+                                           unique=True)))
+        n, t = len(labels), data.draw(st.integers(1, 3))
+        q, p = data.draw(st.integers(0, 2)), data.draw(st.integers(0, 2))
+        shape = (n, t, 1 + q + p)
+        size = n * t * (1 + q + p)
+        values = np.array(data.draw(st.lists(
+            st.floats(allow_nan=False, allow_infinity=False), min_size=size, max_size=size)
+        )).reshape(shape)
+        mask = np.array(data.draw(st.lists(st.booleans(), min_size=size, max_size=size)),
+                        dtype=bool).reshape(shape)
+        values[mask] = np.nan
+        ds = PanelDataset(labels, range(1999, 1999 + t), values[:, :, 0],
+                          values[:, :, 1:1 + q], values[:, :, 1 + q:], mask)
+        delimiter = data.draw(st.sampled_from([",", ";", "\t"]))
+        emit(ds, tmp_path / "panel.csv", delimiter=delimiter, preamble='{"a": 1}')
+        assert_datasets_equal(ingest(tmp_path / "panel.csv", ds.schema(), delimiter), ds)
+
 
 class TestImputeMean:
     def test_per_individual_mean(self):
