@@ -15,7 +15,6 @@ from .model import (
     ModelParameters,
     PanelDesign,
     PenaltyConfig,
-    average_check_loss,
     objective,
     objective_gradient,
     predict_panel,

@@ -113,8 +113,7 @@ def save(trained, path, command: str = "train", config: Optional[dict] = None) -
         "restart_index": fit.restart_index,
         "converged": fit.converged,
         "restart_objectives": fit.restart_objectives,
-        "avg_check_loss": model.average_check_loss(
-            fit.params, trained.kind, train, fit.grid, trained.config.schedule.eps_end),
+        "avg_check_loss": fit.avg_check_loss,
         "stage_trace": [
             {"epsilon": s.epsilon, "iterations": s.iterations, "nfev": s.nfev,
              "objective": s.objective, "stop": s.stop}

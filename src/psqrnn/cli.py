@@ -455,7 +455,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("grid-search", help="exhaustive BIC search over hyperparameters")
     _add_train_flags(p)
-    p.add_argument("--per-tau", action="store_true", help=argparse.SUPPRESS)
     p.add_argument("--grid-n1", required=True, help="comma list of first-layer sizes")
     p.add_argument("--grid-n2", help="comma list of second-layer sizes")
     p.add_argument("--grid-lambda1", default="0.005", help="comma list of L1 strengths")

@@ -28,7 +28,6 @@ __all__ = [
     "predict_panel",
     "objective",
     "objective_gradient",
-    "average_check_loss",
     "pack_parameters",
     "unpack_parameters",
 ]
@@ -77,10 +76,9 @@ class ModelParameters:
         self.beta = np.asarray(self.beta, dtype=float).ravel()
         self.alpha = np.asarray(self.alpha, dtype=float).ravel()
 
-    def copy(self) -> "ModelParameters":
-        return ModelParameters(
-            self.beta.copy(), self.alpha.copy(), None if self.net is None else self.net.copy()
-        )
+    @property
+    def spec(self) -> Optional[NetworkSpec]:
+        return None if self.net is None else self.net.spec
 
 
 @dataclass
@@ -118,52 +116,102 @@ class PanelDesign:
         )
 
 
-def _check_linear_sizes(design: PanelDesign, params: ModelParameters, kind: ModelKind):
-    if not kind.uses_linear_term:
-        return
-    if params.beta.size != design.z.shape[1]:
-        raise ValueError(
-            f"beta has length {params.beta.size}, panel has {design.z.shape[1]} "
-            "parametric covariates"
-        )
-    if params.alpha.size != design.n_individuals:
-        raise ValueError(
-            f"alpha has length {params.alpha.size}, panel has "
-            f"{design.n_individuals} individuals"
-        )
+class _Layout:
+    """The packed parameter vector of one kind, the optimizer's vector.
 
-
-class _Problem:
-    """A fit's fixed inputs, arranged once for the flat-vector kernel.
-
-    The packed vector (see :func:`pack_parameters`) holds beta and alpha for
-    kinds with a linear term, then the network as ``network.flatten`` lays it
-    out; the slices below say where.
+    Kinds with a linear term hold beta and then alpha; network kinds then
+    hold the network as ``network.flatten`` lays it out. The slices say
+    where; a component the kind freezes has none, and unpacks as zeros.
     """
 
-    def __init__(self, design: PanelDesign, kind: ModelKind, grid: TauGrid,
-                 penalties: PenaltyConfig, spec: Optional[NetworkSpec]):
-        n, t = design.n_individuals, design.n_periods
-        self.n, self.t = n, t
-        self.y = design.y.reshape(n, t)
-        self.tau_bar = grid.tau_bar
-        self.scale = 1.0 / (grid.k * n * t)
-        self.lambda1 = penalties.lambda1 if kind.uses_linear_term else 0.0
-        self.lambda2 = penalties.lambda2 if kind.uses_network else 0.0
-        self.z = self.beta = self.alpha = None
-        self.q = pos = 0
+    def __init__(self, kind: ModelKind, q: int, n: int, spec: Optional[NetworkSpec]):
+        if kind.uses_network and spec is None:
+            raise ConfigError(f"kind {kind.value!r} requires a network spec")
+        self.n = n
+        self.q = q if kind.uses_linear_term else 0
+        self.spec = spec if kind.uses_network else None
+        self.beta = self.alpha = self.net = self.network = None
+        pos = 0
         if kind.uses_linear_term:
-            self.z = design.z
-            self.q = pos = design.z.shape[1]
-            self.beta, self.alpha = slice(0, pos), slice(pos, pos + n)
-            pos += n
-        self.spec = self.layout = self.x = self.net = None
+            self.beta, self.alpha = slice(0, q), slice(q, q + n)
+            pos = q + n
         if kind.uses_network:
-            self.spec, self.layout, self.x = spec, network.FlatLayout(spec), design.x
-            self.net = slice(pos, pos + self.layout.size)
-            self.hidden_count = spec.hidden_weight_count
-            pos += self.layout.size
+            self.network = network.FlatLayout(spec)
+            self.net = slice(pos, pos + self.network.size)
+            pos += self.network.size
         self.size = pos
+
+    def pack(self, params: ModelParameters) -> np.ndarray:
+        vector = np.empty(self.size)
+        if self.beta is not None:
+            vector[self.beta] = params.beta
+            vector[self.alpha] = params.alpha
+        if self.net is not None:
+            vector[self.net] = network.flatten(params.net)
+        return vector
+
+    def unpack(self, vector: np.ndarray) -> ModelParameters:
+        vector = np.asarray(vector, dtype=float).ravel()
+        if vector.size != self.size:
+            raise ValueError(f"vector has length {vector.size}, expected {self.size}")
+        beta, alpha, net = np.zeros(0), np.zeros(self.n), None
+        if self.beta is not None:
+            beta, alpha = vector[self.beta].copy(), vector[self.alpha].copy()
+        if self.net is not None:
+            net = network.unflatten(vector[self.net], self.spec)
+        return ModelParameters(beta, alpha, net)
+
+
+class _Problem(_Layout):
+    """A panel arranged once for one kind: its packed layout, the predictor
+    and the checks on its inputs.
+
+    With a ``grid`` the problem is a fit, whose response must be observed;
+    without one it only predicts.
+    """
+
+    def __init__(self, dataset, kind: ModelKind, grid: Optional[TauGrid] = None,
+                 penalties: PenaltyConfig = PenaltyConfig(),
+                 spec: Optional[NetworkSpec] = None):
+        design = dataset if isinstance(dataset, PanelDesign) else PanelDesign.from_dataset(dataset)
+        if grid is not None and design.y is None:
+            raise DataError("panel contains missing response cells; impute before fitting")
+        n, t = design.n_individuals, design.n_periods
+        super().__init__(kind, design.z.shape[1], n, spec)
+        p = design.x.shape[1]
+        if self.spec is not None and self.spec.input_dim != p:
+            raise ConfigError(
+                f"network spec expects {spec.input_dim} inputs, panel has {p} network covariates"
+            )
+        self.t = t
+        self.z = design.z if kind.uses_linear_term else None
+        self.x = design.x if kind.uses_network else None
+        if grid is not None:
+            self.y = design.y.reshape(n, t)
+            self.tau_bar = grid.tau_bar
+            self.scale = 1.0 / (grid.k * n * t)
+            self.lambda1 = penalties.lambda1 if kind.uses_linear_term else 0.0
+            self.lambda2 = penalties.lambda2 if kind.uses_network else 0.0
+            self.hidden_count = self.spec.hidden_weight_count if self.spec else 0
+
+    def check(self, params: ModelParameters) -> None:
+        """Raise ValueError unless the linear parameters fit the panel."""
+        if self.beta is not None and (params.beta.size, params.alpha.size) != (self.q, self.n):
+            raise ValueError(
+                f"beta and alpha have lengths {params.beta.size} and {params.alpha.size}; "
+                f"the panel has {self.q} parametric covariates and {self.n} individuals"
+            )
+
+    def predictor(self, beta, alpha, net):
+        """z'beta + alpha_i + ANN(x) per (individual, period), and the network's
+        forward cache; the arguments the kind freezes are not read."""
+        pred, cache = 0.0, None
+        if self.z is not None:
+            pred = (self.z @ beta).reshape(self.n, self.t) + alpha[:, None]
+        if self.x is not None:
+            ann, cache = network.forward_batch(net, self.x)
+            pred = pred + ann.reshape(self.n, self.t)
+        return pred, cache
 
 
 def _huber_value_and_deriv(u, epsilon, want_deriv):
@@ -192,16 +240,14 @@ def _evaluate(problem: _Problem, vector: np.ndarray, epsilon: float, *,
     caller (once per annealing stage in a fit).
     """
     p = problem
-    n, t = p.n, p.t
-    pred = 0.0
-    if p.z is not None:
-        alpha = vector[p.alpha]
-        pred = (p.z @ vector[p.beta]).reshape(n, t) + alpha[:, None]
-    if p.layout is not None:
+    n = p.n
+    beta = alpha = net = net_vector = None
+    if p.beta is not None:
+        beta, alpha = vector[p.beta], vector[p.alpha]
+    if p.net is not None:
         net_vector = vector[p.net]
-        net = p.layout.views(net_vector)
-        ann, cache = network.forward_batch(net, p.x)
-        pred = pred + ann.reshape(n, t)
+        net = p.network.views(net_vector)
+    pred, cache = p.predictor(beta, alpha, net)
 
     resid = p.y - pred
     if not np.isfinite(resid).all():
@@ -222,7 +268,7 @@ def _evaluate(problem: _Problem, vector: np.ndarray, epsilon: float, *,
         value += p.lambda1 * math.fsum(alpha_hub.tolist()) / n
     if p.lambda2 > 0.0:
         sq = sum(float((net_vector[h] * net_vector[h]).sum())
-                 for h in p.layout.hidden_weights)
+                 for h in p.network.hidden_weights)
         value += p.lambda2 * sq / p.hidden_count
     if not math.isfinite(value):
         raise ArithmeticError("objective evaluated to a non-finite value")
@@ -234,43 +280,28 @@ def _evaluate(problem: _Problem, vector: np.ndarray, epsilon: float, *,
     cotangent = side * hub_deriv
     cotangent *= -p.scale
     grad = np.empty(p.size)
-    if p.z is not None:
+    if p.beta is not None:
         grad[p.beta] = p.z.T @ cotangent.ravel()
         grad_alpha = cotangent.sum(axis=1)
         if p.lambda1 > 0.0:
             grad_alpha += p.lambda1 * alpha_hub_deriv / n
         grad[p.alpha] = grad_alpha
-    if p.layout is not None:
+    if p.net is not None:
         grad_net = network.backward_batch(net, cache, cotangent.ravel())
         if p.lambda2 > 0.0:
-            for h in p.layout.hidden_weights:
+            for h in p.network.hidden_weights:
                 grad_net[h] += (2.0 * p.lambda2 / p.hidden_count) * net_vector[h]
         grad[p.net] = grad_net
     return _Evaluation(value, data_term, grad)
-
-
-def _design_for(dataset) -> PanelDesign:
-    return dataset if isinstance(dataset, PanelDesign) else PanelDesign.from_dataset(dataset)
-
-
-def _fit_design(dataset) -> PanelDesign:
-    """The design of a panel whose response is fully observed."""
-    design = _design_for(dataset)
-    if design.y is None:
-        raise DataError("panel contains missing response cells; impute before fitting")
-    return design
 
 
 def _evaluate_at(params: ModelParameters, kind: ModelKind, dataset, grid: TauGrid,
                  penalties: PenaltyConfig, epsilon: float,
                  want_grad: bool) -> tuple[_Problem, _Evaluation]:
     losses._check_epsilon(epsilon)
-    design = _fit_design(dataset)
-    _check_linear_sizes(design, params, kind)
-    vector = pack_parameters(params, kind)
-    problem = _Problem(design, kind, grid, penalties,
-                       params.net.spec if kind.uses_network else None)
-    return problem, _evaluate(problem, vector, epsilon, want_grad=want_grad)
+    problem = _Problem(dataset, kind, grid, penalties, params.spec)
+    problem.check(params)
+    return problem, _evaluate(problem, problem.pack(params), epsilon, want_grad=want_grad)
 
 
 def objective(params: ModelParameters, kind: ModelKind, dataset, grid: TauGrid,
@@ -291,14 +322,7 @@ def objective_gradient(params: ModelParameters, kind: ModelKind, dataset, grid: 
     network for the linear model) come back as zeros / None.
     """
     problem, ev = _evaluate_at(params, kind, dataset, grid, penalties, epsilon, True)
-    return unpack_parameters(ev.gradient, kind, problem.q, problem.n, problem.spec)
-
-
-def average_check_loss(params: ModelParameters, kind: ModelKind, dataset, grid: TauGrid,
-                       epsilon: float) -> float:
-    """The objective's data term alone (no penalties); the BIC loss input."""
-    return _evaluate_at(params, kind, dataset, grid, PenaltyConfig(), epsilon,
-                        False)[1].data_term
+    return problem.unpack(ev.gradient)
 
 
 def predict_panel(params: ModelParameters, kind: ModelKind, dataset) -> np.ndarray:
@@ -307,51 +331,17 @@ def predict_panel(params: ModelParameters, kind: ModelKind, dataset) -> np.ndarr
     Only the covariates must be observed; the response may be masked, as for
     the future targets of scenario 3.
     """
-    design = _design_for(dataset)
-    _check_linear_sizes(design, params, kind)
-    pred = np.zeros(design.individual.size)
-    if kind.uses_linear_term:
-        pred += design.z @ params.beta + params.alpha[design.individual]
-    if kind.uses_network:
-        if params.net is None:
-            raise ValueError(f"kind {kind.value!r} requires network parameters")
-        ann, _ = network.forward_batch(params.net, design.x)
-        pred += ann
-    return pred.reshape(design.n_individuals, design.n_periods)
+    problem = _Problem(dataset, kind, spec=params.spec)
+    problem.check(params)
+    return problem.predictor(params.beta, params.alpha, params.net)[0]
 
 
 def pack_parameters(params: ModelParameters, kind: ModelKind) -> np.ndarray:
     """Concatenate the kind's free parameters into one optimizer vector."""
-    parts = []
-    if kind.uses_linear_term:
-        parts.append(params.beta)
-        parts.append(params.alpha)
-    if kind.uses_network:
-        if params.net is None:
-            raise ValueError(f"kind {kind.value!r} requires network parameters")
-        parts.append(network.flatten(params.net))
-    return np.concatenate(parts) if parts else np.zeros(0)
+    return _Layout(kind, params.beta.size, params.alpha.size, params.spec).pack(params)
 
 
 def unpack_parameters(vector: np.ndarray, kind: ModelKind, q: int, n_individuals: int,
                       spec: Optional[NetworkSpec]) -> ModelParameters:
     """Inverse of :func:`pack_parameters`; frozen components are restored as zeros."""
-    vector = np.asarray(vector, dtype=float).ravel()
-    pos = 0
-    if kind.uses_linear_term:
-        beta = vector[pos:pos + q].copy()
-        pos += q
-        alpha = vector[pos:pos + n_individuals].copy()
-        pos += n_individuals
-    else:
-        beta = np.zeros(0)
-        alpha = np.zeros(n_individuals)
-    net = None
-    if kind.uses_network:
-        if spec is None:
-            raise ValueError(f"kind {kind.value!r} requires a network spec")
-        net = network.unflatten(vector[pos:pos + spec.parameter_count], spec)
-        pos += spec.parameter_count
-    if pos != vector.size:
-        raise ValueError(f"vector has length {vector.size}, expected {pos}")
-    return ModelParameters(beta, alpha, net)
+    return _Layout(kind, q, n_individuals, spec).unpack(vector)

@@ -12,7 +12,7 @@ import math
 import operator
 from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -468,42 +468,31 @@ class StandardizationState:
     response_name: str
 
 
-def standardize(dataset: PanelDataset,
-                train_times: Optional[Sequence[int]] = None
-                ) -> tuple[PanelDataset, StandardizationState]:
-    """Z-score every column using statistics from the training periods only.
+def standardize(dataset: PanelDataset) -> tuple[PanelDataset, StandardizationState]:
+    """Z-score every column with its own mean and standard deviation.
 
-    ``train_times`` are 0-based period indices (default: all periods). The
-    standard deviation uses the population denominator. Constant columns are
-    rejected by name.
+    Fit it on the training panel and carry the state to other panels with
+    :func:`apply_standardization`. The standard deviation uses the
+    population denominator. Constant columns are rejected by name.
     """
     if dataset.missing_mask.any():
         raise DataError("standardize needs a fully observed panel; impute first")
-    times = np.arange(dataset.n_periods) if train_times is None else np.asarray(
-        sorted(set(int(t) for t in train_times)), dtype=int
-    )
-    if times.size == 0:
-        raise DataError("training window is empty")
-    if times.min() < 0 or times.max() >= dataset.n_periods:
-        raise DataError(f"training period indices {times.tolist()} outside [0, {dataset.n_periods})")
+    if dataset.y.size == 0:
+        raise DataError("standardize needs a nonempty panel")
 
     def column_stats(values: np.ndarray, name: str) -> tuple[float, float]:
-        window = values[:, times]
-        mean = float(window.mean())
-        std = float(window.std())
+        # numpy sums in memory order; a period-major (column-major) copy
+        # fixes that order whatever the column's strides.
+        values = np.asfortranarray(values)
+        mean = float(values.mean())
+        std = float(values.std())
         if std == 0.0:
             raise DataError(f"column {name!r} is constant on the training window")
         return mean, std
 
-    out = dataset.copy()
     r_mean, r_std = column_stats(dataset.y, dataset.response_name)
-    out.y = (dataset.y - r_mean) / r_std
     z_stats = [column_stats(dataset.z[:, :, j], nm) for j, nm in enumerate(dataset.z_names)]
     x_stats = [column_stats(dataset.x[:, :, j], nm) for j, nm in enumerate(dataset.x_names)]
-    for j, (m, s) in enumerate(z_stats):
-        out.z[:, :, j] = (dataset.z[:, :, j] - m) / s
-    for j, (m, s) in enumerate(x_stats):
-        out.x[:, :, j] = (dataset.x[:, :, j] - m) / s
     state = StandardizationState(
         response_mean=r_mean, response_std=r_std,
         z_means=tuple(m for m, _ in z_stats), z_stds=tuple(s for _, s in z_stats),
@@ -511,7 +500,7 @@ def standardize(dataset: PanelDataset,
         z_names=dataset.z_names, x_names=dataset.x_names,
         response_name=dataset.response_name,
     )
-    return out, state
+    return apply_standardization(dataset, state), state
 
 
 def apply_standardization(dataset: PanelDataset, state: StandardizationState) -> PanelDataset:

@@ -79,12 +79,6 @@ class TrainedModel:
     fits: list[FitResult]
     prepared: PreparedScenario
 
-    @property
-    def fit(self) -> FitResult:
-        if len(self.fits) != 1:
-            raise ConfigError("this artifact holds per-level fits; pick one explicitly")
-        return self.fits[0]
-
 
 def train_model(prepared: PreparedScenario, kind: ModelKind, grid: TauGrid,
                 penalties: PenaltyConfig, spec: Optional[NetworkSpec],

@@ -4,7 +4,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from . import model, trainer
+from . import trainer
 from .errors import ConfigError, DataError, TrainingError
 from .losses import TauGrid
 from .model import ModelKind, PenaltyConfig
@@ -100,6 +100,12 @@ class SearchGrid:
             raise ConfigError("n2_values must be nonempty when given")
         if not self.lambda1_values or not self.lambda2_values:
             raise ConfigError("lambda grids must be nonempty")
+        if min(self.n1_values + (self.n2_values or ())) < 1:
+            raise ConfigError("hidden sizes must be >= 1")
+        for lam1 in self.lambda1_values:
+            PenaltyConfig(lambda1=lam1)
+        for lam2 in self.lambda2_values:
+            PenaltyConfig(lambda2=lam2)
 
 
 @dataclass
@@ -141,7 +147,6 @@ def grid_search(dataset, kind: ModelKind, grid: TauGrid, search: SearchGrid,
         raise ConfigError("two-hidden-layer template needs n2_values")
     n2_candidates = search.n2_values if depth == 2 else (None,)
 
-    eps_end = config.schedule.eps_end
     table = []
     best_key = None
     best_point = None
@@ -156,11 +161,8 @@ def grid_search(dataset, kind: ModelKind, grid: TauGrid, search: SearchGrid,
                         fit_result = trainer.fit(
                             dataset, kind, grid, PenaltyConfig(lam1, lam2), spec, config
                         )
-                        avg_loss = model.average_check_loss(
-                            fit_result.params, kind, dataset, grid, eps_end
-                        )
                         inp = BicInput(
-                            avg_loss=avg_loss,
+                            avg_loss=fit_result.avg_check_loss,
                             n_individuals=dataset.n_individuals,
                             n_periods=dataset.n_periods,
                             p=spec.input_dim,
@@ -169,7 +171,7 @@ def grid_search(dataset, kind: ModelKind, grid: TauGrid, search: SearchGrid,
                             n2=n2,
                         )
                         bic = bic1(inp) if n2 is None else bic2(inp)
-                        point = GridPoint(n1, n2, lam1, lam2, avg_loss, bic, "ok")
+                        point = GridPoint(n1, n2, lam1, lam2, inp.avg_loss, bic, "ok")
                     except (ConfigError, DataError, TrainingError, ArithmeticError) as exc:
                         point = GridPoint(n1, n2, lam1, lam2, None, None, f"error: {exc}")
                         table.append(point)

@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import losses, model, network
+from . import model, network
 from .errors import ConfigError, TrainingError
 from .losses import TauGrid
 from .model import ModelKind, ModelParameters, PenaltyConfig
@@ -102,6 +102,9 @@ class FitResult:
     #: The quantile grid whose objective was minimized.
     grid: TauGrid
     final_objective: float
+    #: The data term (penalties excluded) of the evaluation whose value is
+    #: ``final_objective``: the BIC's average check loss.
+    avg_check_loss: float
     restart_index: int
     stage_trace: list[StageRecord]
     #: The final stage stopped on one of the optimizer's tolerance tests, not
@@ -121,41 +124,34 @@ def minimize(*args, **kwargs):
     return scipy_minimize(*args, **kwargs)
 
 
-class _Guard:
-    """Wrap an objective closure so numeric failures carry stage context."""
+def _minimize_stage(problem, x0, epsilon: float, config: TrainConfig):
+    """Run one L-BFGS-B stage; returns (OptimizeResult, objective path, data term).
 
-    def __init__(self, fn, epsilon):
-        self.fn = fn
-        self.epsilon = epsilon
-        self.evaluations = 0
-
-    def __call__(self, x):
-        self.evaluations += 1
-        try:
-            return self.fn(x)
-        except ArithmeticError as exc:
-            raise TrainingError(
-                f"non-finite objective at stage epsilon={self.epsilon!r}, "
-                f"evaluation {self.evaluations}: {exc}",
-                epsilon=self.epsilon,
-                evaluations=self.evaluations,
-            ) from exc
-
-
-def _minimize_stage(value_and_grad, x0, config: TrainConfig):
-    """Run one L-BFGS-B stage; returns (OptimizeResult, objective path).
-
-    The result's ``fun`` and ``jac`` are the value and gradient at its ``x``;
-    the path holds the value at x0 and after every iteration. Each value comes
-    from an evaluation the optimizer made anyway.
+    L-BFGS-B takes the result's ``fun`` and ``jac`` from its last call of
+    ``fun``, made at the result's ``x``; the data term returned is that
+    call's too. The path holds the value at x0 and after every iteration.
+    Each value comes from an evaluation the optimizer made anyway. A numeric
+    failure is raised as a TrainingError naming the stage.
     """
     path = []
+    evaluations = 0
+    last = None
 
     def fun(x):
-        value, grad = value_and_grad(x)
+        nonlocal evaluations, last
+        evaluations += 1
+        try:
+            last = model._evaluate(problem, x, epsilon, want_grad=True)
+        except ArithmeticError as exc:
+            raise TrainingError(
+                f"non-finite objective at stage epsilon={epsilon!r}, "
+                f"evaluation {evaluations}: {exc}",
+                epsilon=epsilon,
+                evaluations=evaluations,
+            ) from exc
         if not path:  # L-BFGS-B evaluates x0 first
-            path.append(value)
-        return value, grad
+            path.append(last.value)
+        return last.value, last.gradient
 
     def track(intermediate_result):
         path.append(float(intermediate_result.fun))
@@ -172,7 +168,7 @@ def _minimize_stage(value_and_grad, x0, config: TrainConfig):
             "ftol": 1e-12,
         },
     )
-    return result, path
+    return result, path, last.data_term
 
 
 def fit(dataset, kind: ModelKind, grid: TauGrid, penalties: PenaltyConfig,
@@ -203,42 +199,18 @@ def fit(dataset, kind: ModelKind, grid: TauGrid, penalties: PenaltyConfig,
     only the network initialization is randomized (seed + restart index),
     so the run is fully deterministic given (dataset, config).
     """
-    design = model._fit_design(dataset)
-    if kind.uses_network:
-        if spec is None:
-            raise ConfigError(f"kind {kind.value!r} requires a network spec")
-        if spec.input_dim != design.x.shape[1]:
-            raise ConfigError(
-                f"network spec expects {spec.input_dim} inputs, panel has "
-                f"{design.x.shape[1]} network covariates"
-            )
-    net_spec = spec if kind.uses_network else None
-    problem = model._Problem(design, kind, grid, penalties, net_spec)
-    q, n = problem.q, problem.n
+    problem = model._Problem(dataset, kind, grid, penalties, spec)
+    q, n, net_spec = problem.q, problem.n, problem.spec
     eps_values = epsilon_sequence(config.schedule)
-
-    def value_and_grad_at(epsilon):
-        losses._check_epsilon(epsilon)
-
-        def value_and_grad(x):
-            ev = model._evaluate(problem, x, epsilon, want_grad=True)
-            return ev.value, ev.gradient
-
-        return _Guard(value_and_grad, epsilon)
 
     best: Optional[FitResult] = None
     restart_objectives = []
     for restart in range(config.restarts):
-        if kind.uses_network:
-            start = ModelParameters(
-                np.zeros(q), np.zeros(n), network.init_parameters(net_spec, config.seed + restart)
-            )
-        else:
-            start = ModelParameters(np.zeros(q), np.zeros(n), None)
-        x = model.pack_parameters(start, kind)
+        net = None if net_spec is None else network.init_parameters(net_spec, config.seed + restart)
+        x = model.pack_parameters(ModelParameters(np.zeros(q), np.zeros(n), net), kind)
         trace = []
         for epsilon in eps_values:
-            result, path = _minimize_stage(value_and_grad_at(epsilon), x, config)
+            result, path, data_term = _minimize_stage(problem, x, epsilon, config)
             x = result.x
             trace.append(StageRecord(epsilon, int(result.nit), int(result.nfev),
                                      float(result.fun), str(result.message), path))
@@ -253,6 +225,7 @@ def fit(dataset, kind: ModelKind, grid: TauGrid, penalties: PenaltyConfig,
                 params=model.unpack_parameters(x, kind, q, n, net_spec),
                 grid=grid,
                 final_objective=final_value,
+                avg_check_loss=data_term,
                 restart_index=restart,
                 stage_trace=trace,
                 converged=converged,

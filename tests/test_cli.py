@@ -321,6 +321,26 @@ class TestGridSearch:
         b = tables[1].splitlines()[1:]
         assert a == b
 
+    def test_per_tau_is_not_an_option(self, synth_csv, tmp_path):
+        code = run(["grid-search", "--input", str(synth_csv), "--output",
+                    str(tmp_path / "a.json"), "--hidden", "3", "--grid-n1", "3",
+                    "--taus", "0.2,0.8", "--per-tau", *FAST_FLAGS])
+        assert code == 1
+        assert not (tmp_path / "a.json").exists()
+
+    @pytest.mark.parametrize("flag", ["--grid-lambda1=-1", "--grid-lambda2=0.01,nan",
+                                      "--grid-n1=0,3"])
+    def test_unusable_grid_value_is_a_usage_error(self, synth_csv, tmp_path, flag,
+                                                   monkeypatch):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fitted before the grid was checked")
+
+        monkeypatch.setattr("psqrnn.selection.trainer.fit", no_fit)
+        code = run(["grid-search", "--input", str(synth_csv), "--output",
+                    str(tmp_path / "a.json"), "--hidden", "3", "--grid-n1", "3", flag,
+                    *FAST_FLAGS])
+        assert code == 1
+
     def test_two_by_two_selects_table_minimum(self, synth_csv, tmp_path):
         art = tmp_path / "best.json"
         table = tmp_path / "table.csv"

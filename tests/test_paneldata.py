@@ -436,11 +436,18 @@ class TestStandardize:
         with pytest.raises(DataError, match="y"):
             standardize(ds)
 
-    def test_train_window_statistics_only(self):
-        ds = make_panel(np.array([[0.0, 2.0, 100.0]]))
-        out, state = standardize(ds, train_times=[0, 1])
-        assert state.response_mean == 1.0
-        assert out.y[0, 2] == 99.0
+    def test_statistics_sum_period_major(self):
+        # numpy sums in memory order. Saved artifacts hold statistics summed
+        # over the period-major copy of each column; on this panel a
+        # row-major sum gives other bits for every column.
+        rng = np.random.default_rng(1)
+        y = 50.0 + rng.standard_normal((30, 15))
+        z = rng.standard_normal((30, 15, 2))
+        _, state = standardize(make_panel(y, z))
+        means = [float(np.asfortranarray(v).mean()) for v in (y, z[:, :, 0], z[:, :, 1])]
+        assert [state.response_mean, *state.z_means] == means
+        assert state.response_std == float(np.asfortranarray(y).std())
+        assert state.response_mean != float(np.ascontiguousarray(y).mean())
 
     def test_requires_imputed(self):
         ds = make_panel([[1.0, 2.0]])

@@ -82,6 +82,17 @@ class TestSearchGrid:
         with pytest.raises(ConfigError):
             SearchGrid(n1_values=(2,), lambda1_values=())
 
+    @pytest.mark.parametrize("bad", [
+        {"n1_values": (0, 3)},
+        {"n1_values": (2,), "n2_values": (0,)},
+        {"n1_values": (2,), "lambda1_values": (0.1, -1.0)},
+        {"n1_values": (2,), "lambda2_values": (math.nan,)},
+        {"n1_values": (2,), "lambda2_values": (math.inf,)},
+    ])
+    def test_values_no_fit_can_use_rejected(self, bad):
+        with pytest.raises(ConfigError):
+            SearchGrid(**bad)
+
     def test_defaults_are_paper_pair(self):
         grid = SearchGrid(n1_values=(2,))
         assert grid.lambda1_values == (0.005,)
@@ -117,6 +128,14 @@ class TestGridSearch:
         external_min = min(ok, key=lambda p: (p.bic, p.n1, p.lambda1, p.lambda2))
         assert (result.best_point.n1, result.best_point.lambda1) == (
             external_min.n1, external_min.lambda1)
+
+    def test_selected_loss_is_the_fits_own(self, rng):
+        ds = small_panel(rng)
+        search = SearchGrid(n1_values=(1, 2), lambda1_values=(0.0, 0.1),
+                            lambda2_values=(0.01,))
+        result = grid_search(ds, ModelKind.PSQRNN, TauGrid.single(0.5), search,
+                             NetworkSpec(2, (2,)), FAST)
+        assert result.best_point.avg_loss == result.best_fit.avg_check_loss
 
     def test_reproducible(self, rng):
         ds = small_panel(rng)

@@ -108,11 +108,24 @@ class TestFit:
                           PenaltyConfig(0.2, 0), cfg.schedule.eps_end)
         assert abs(value - result.final_objective) <= 1e-12
 
+    @pytest.mark.parametrize("kind", [ModelKind.LINEAR, ModelKind.PSQRNN])
+    def test_avg_check_loss_is_final_data_term(self, rng, kind):
+        # With zero penalties the objective is its data term alone.
+        ds = make_panel(rng.standard_normal((3, 6)), z=rng.standard_normal((3, 6, 1)),
+                        x=rng.standard_normal((3, 6, 2)))
+        cfg = TrainConfig(restarts=2, seed=0, max_iters_per_stage=20)
+        result = fit(ds, kind, TauGrid.dense_grid(), PenaltyConfig(0.01, 0.01),
+                     NetworkSpec(2, (3,)), cfg)
+        data_term = objective(result.params, kind, ds, result.grid, PenaltyConfig(),
+                              cfg.schedule.eps_end)
+        assert result.avg_check_loss == data_term
+
     def test_nan_data_raises_training_error(self):
         ds = make_panel([[np.nan, 1.0]])
         with pytest.raises(TrainingError) as info:
             fit(ds, ModelKind.LINEAR, TauGrid.single(0.5), PenaltyConfig(), None, FAST)
         assert info.value.epsilon is not None
+        assert info.value.evaluations == 1
 
     def test_network_kind_requires_spec(self, rng):
         ds = make_panel(rng.standard_normal((2, 3)), x=rng.standard_normal((2, 3, 1)))
