@@ -247,14 +247,6 @@ def cmd_predict(args) -> int:
     panel = prepared.train if args.which == "train" else prepared.test
     predictions = artifact.predict(fitted, panel)
     labels = paneldata._csv_fields(panel.individuals)
-    t = len(panel.periods)
-    individual_cells = [label for label in labels for _ in range(t)]
-    period_cells = list(map(str, panel.periods)) * len(labels)
-    blocks = [
-        (individual_cells, period_cells, [tau_label] * len(period_cells),
-         list(map(repr, pred.ravel().tolist())))
-        for tau_label, pred in zip(fitted.tau_labels, predictions)
-    ]
     with open(args.output, "w", encoding="utf-8", newline="") as handle:
         handle.write("# " + dump_json({
             "command": "predict", "config": {
@@ -264,9 +256,9 @@ def cmd_predict(args) -> int:
             "source_config": fitted.config,
         }, indent=None) + "\n")
         csv.writer(handle).writerow(_PREDICTION_COLUMNS)
-        for block in blocks:
-            paneldata._write_rows(handle, block)
-    print(dump_json({"written": args.output, "rows": len(blocks) * len(period_cells)}))
+        for tau_label, pred in zip(fitted.tau_labels, predictions):
+            paneldata._write_rows(handle, labels, panel.periods, [tau_label, (pred, None)])
+    print(dump_json({"written": args.output, "rows": sum(pred.size for pred in predictions)}))
     return 0
 
 
@@ -361,13 +353,8 @@ def cmd_evaluate(args) -> int:
             handle.write("# " + dump_json({"command": "evaluate", "config": config},
                                           indent=None) + "\n")
             csv.writer(handle).writerow(["individual", "period", "actual", "predicted"])
-            labels = paneldata._csv_fields(individuals)
-            paneldata._write_rows(handle, [
-                [label for label in labels for _ in periods],
-                list(map(str, periods)) * len(labels),
-                list(map(repr, act.ravel().tolist())),
-                list(map(repr, pred.ravel().tolist())),
-            ])
+            paneldata._write_rows(handle, paneldata._csv_fields(individuals), periods,
+                                  [(act, None), (pred, None)])
     print(dump_json({"total_mape": rep.total_mape, "total_rrmse": rep.total_rrmse,
                      "written": args.output}))
     return 0

@@ -44,6 +44,9 @@ _MISSING_TOKENS = ("", "NA")
 _MISSING_FILL = dict.fromkeys(_MISSING_TOKENS, "nan")
 #: Every character of a written number cell: a float's repr or a period.
 _NUMBER_CHARS = "0123456789+-.einfa"
+#: Rows parsed or written at a time: a panel file is held in memory as its
+#: arrays plus one block of cell strings, never as all of its strings.
+_BLOCK_ROWS = 4096
 
 #: Forecast horizon and feature lag of the canonical split protocols.
 HORIZON = 5
@@ -238,8 +241,10 @@ def _first_row_error(path, delimiter: str, schema: PanelSchema,
                      index: dict, width: int, value_cols: list) -> DataError:
     """Re-read the file row by row and return the first malformed row's error.
 
-    Only called once the columnar pass in :func:`ingest` has found a
-    problem, to name its physical line and column.
+    Only called once the block pass of :func:`ingest` has found a problem.
+    It names the first malformed row of the file by physical line and
+    column; that row may lie before the block that showed the problem, as a
+    duplicate does.
     """
     seen = set()
     with open(path, encoding="utf-8", newline="") as handle:
@@ -265,11 +270,51 @@ def _first_row_error(path, delimiter: str, schema: PanelSchema,
     raise AssertionError(f"{path}: no malformed row found")
 
 
-def _codes(labels: list) -> tuple[list, np.ndarray]:
-    """Sorted distinct labels, and each label's position among them."""
-    distinct = sorted(set(labels))
-    position = dict(zip(distinct, range(len(distinct))))
-    return distinct, np.fromiter(map(position.__getitem__, labels), np.intp, len(labels))
+def _code(seen: dict, keys) -> np.ndarray:
+    """Each key's number in order of first sight; ``seen`` gains the new keys."""
+    return np.fromiter((seen.setdefault(key, len(seen)) for key in keys), np.intp)
+
+
+def _ranks(seen: dict) -> tuple[list, np.ndarray]:
+    """The keys of ``seen`` sorted, and each key's sorted position by its number."""
+    distinct = sorted(seen)
+    rank = np.empty(len(distinct), np.intp)
+    rank[[seen[key] for key in distinct]] = np.arange(len(distinct))
+    return distinct, rank
+
+
+def _parse_block(reader, schema: PanelSchema, index: dict, width: int, value_cols: list,
+                 labels: dict, periods: dict):
+    """Parse the next ``_BLOCK_ROWS`` rows of ``reader``; None at the end of the file.
+
+    Blank rows are skipped. Returns the rows' individual and period codes
+    (numbered through ``labels`` and ``periods``, which grow from block to
+    block), their value columns and their missing-cell mask. Any malformed
+    row raises ValueError.
+    """
+    rows = list(itertools.islice(reader, _BLOCK_ROWS))
+    if not rows:
+        return None
+    rows = list(itertools.compress(rows, map(str.strip, map("".join, rows))))
+    if set(map(len, rows)) - {width}:
+        raise ValueError("a row has the wrong number of fields")
+    columns = list(zip(*rows)) or [()] * width
+    del rows  # the columns hold the cells; the row lists would only add to the peak
+    row_t = _code(periods, map(int, map(str.strip, columns[index[schema.period]])))
+    row_i = _code(labels, map(str.strip, columns[index[schema.individual]]))
+    values = np.empty((len(row_i), len(value_cols)))
+    missing = np.empty(values.shape, dtype=bool)
+    for c, name in enumerate(value_cols):
+        cells = list(map(str.strip, columns[index[name]]))
+        values[:, c] = np.array(list(map(_MISSING_FILL.get, cells, cells)), dtype=float)
+        # Only a missing token or a literal NaN parses as NaN; the literal
+        # stays observed, so the finiteness check below rejects it.
+        blank = np.isnan(values[:, c])
+        blank[blank] = [cells[k] in _MISSING_TOKENS for k in np.flatnonzero(blank).tolist()]
+        missing[:, c] = blank
+    if not (np.isfinite(values) | missing).all():
+        raise ValueError("an observed value is not finite")
+    return row_i, row_t, values, missing
 
 
 def _check_delimiter(delimiter) -> None:
@@ -284,80 +329,67 @@ def ingest(path, schema: PanelSchema = DEFAULT_SCHEMA, delimiter: str = ",") -> 
     empty or "NA". Rows are sorted by (individual, period); duplicated or
     absent (individual, period) rows are rejected with their location.
     Lines starting with '#' are ignored; error messages give physical line
-    numbers, comment lines included.
+    numbers, comment lines included. The rows are parsed ``_BLOCK_ROWS`` at
+    a time, so memory holds the arrays and one block of cell strings.
     """
     _check_delimiter(delimiter)
     value_cols = [schema.response, *schema.covariate_names()]
+    labels, periods, blocks = {}, {}, []
     with open(path, encoding="utf-8", newline="") as handle:
-        lines = itertools.filterfalse(_is_comment, handle)
-        records = list(csv.reader(lines, delimiter=delimiter))
-    if not records:
-        raise DataError(f"{path}: empty file")
-    header = [h.strip() for h in records[0]]
-    missing_cols = [c for c in (schema.individual, schema.period, *value_cols)
-                    if c not in header]
-    if missing_cols:
-        raise DataError(f"{path}: header lacks required columns {missing_cols}")
-    index = {name: header.index(name) for name in header}
-    body = records[1:]
-    rows = list(itertools.compress(body, map(str.strip, map("".join, body))))
+        reader = csv.reader(itertools.filterfalse(_is_comment, handle), delimiter=delimiter)
+        header = next(reader, None)
+        if header is None:
+            raise DataError(f"{path}: empty file")
+        header = [h.strip() for h in header]
+        missing_cols = [c for c in (schema.individual, schema.period, *value_cols)
+                        if c not in header]
+        if missing_cols:
+            raise DataError(f"{path}: header lacks required columns {missing_cols}")
+        index = {name: header.index(name) for name in header}
 
-    def malformed() -> DataError:
-        return _first_row_error(path, delimiter, schema, index, len(header), value_cols)
+        def malformed() -> DataError:
+            return _first_row_error(path, delimiter, schema, index, len(header), value_cols)
 
-    if set(map(len, rows)) - {len(header)}:
-        raise malformed()
-    if not rows:
-        raise DataError(f"{path}: no data rows")
-    columns = list(zip(*rows))
-    try:
-        period_values = list(map(int, map(str.strip, columns[index[schema.period]])))
-    except ValueError:
-        raise malformed() from None
-    individuals, row_i = _codes(list(map(str.strip, columns[index[schema.individual]])))
-    periods, row_t = _codes(period_values)
-    n, t = len(individuals), len(periods)
-    cell = row_i * t + row_t
-    counts = np.bincount(cell, minlength=n * t)
-    if counts.max() > 1:
-        raise malformed()
-
-    values = np.empty((len(rows), len(value_cols)))
-    missing = np.empty(values.shape, dtype=bool)
-    for c, name in enumerate(value_cols):
-        cells = list(map(str.strip, columns[index[name]]))
         try:
-            values[:, c] = np.array(list(map(_MISSING_FILL.get, cells, cells)), dtype=float)
+            while (block := _parse_block(reader, schema, index, len(header), value_cols,
+                                         labels, periods)) is not None:
+                blocks.append(block)
         except ValueError:
             raise malformed() from None
-        # Only a missing token or a literal NaN parses as NaN; the literal
-        # stays observed, so the finiteness check below rejects it.
-        blank = np.isnan(values[:, c])
-        blank[blank] = [cells[k] in _MISSING_TOKENS for k in np.flatnonzero(blank).tolist()]
-        missing[:, c] = blank
-    if not np.isfinite(values[~missing]).all():
-        raise malformed()
+    if not labels:
+        raise DataError(f"{path}: no data rows")
 
+    individuals, rank_i = _ranks(labels)
+    period_values, rank_t = _ranks(periods)
+    n, t = len(individuals), len(period_values)
+    blocks = [(rank_i[row_i] * t + rank_t[row_t], values, missing)
+              for row_i, row_t, values, missing in blocks]
+    counts = np.zeros(n * t, np.intp)
+    for cell, _, _ in blocks:
+        counts += np.bincount(cell, minlength=n * t)
+    if counts.max() > 1:
+        raise malformed()
     gaps = np.flatnonzero(counts == 0)
     if gaps.size:
-        shown = ", ".join(str((individuals[k // t], periods[k % t]))
+        shown = ", ".join(str((individuals[k // t], period_values[k % t]))
                           for k in gaps[:10].tolist())
         raise DataError(f"unbalanced panel: {gaps.size} missing rows, e.g. {shown}")
 
-    # Every (individual, period) cell holds exactly one row: place them.
-    placed = np.empty_like(values)
-    placed_missing = np.empty_like(missing)
-    placed[cell] = values
-    placed_missing[cell] = missing
+    # Every (individual, period) cell holds exactly one row: place each block.
     z_cols = [value_cols.index(name) for name in schema.parametric]
     x_cols = [value_cols.index(name) for name in schema.network]
     q, p = len(z_cols), len(x_cols)
+    y, z, x = np.empty(n * t), np.empty((n * t, q)), np.empty((n * t, p))
+    mask = np.empty((n * t, 1 + q + p), dtype=bool)
+    while blocks:
+        cell, values, missing = blocks.pop()
+        y[cell] = values[:, 0]
+        z[cell] = values[:, z_cols]
+        x[cell] = values[:, x_cols]
+        mask[cell] = missing[:, [0, *z_cols, *x_cols]]
     return PanelDataset(
-        individuals, periods,
-        np.ascontiguousarray(placed[:, 0]).reshape(n, t),
-        placed[:, z_cols].reshape(n, t, q),
-        placed[:, x_cols].reshape(n, t, p),
-        placed_missing[:, [0, *z_cols, *x_cols]].reshape(n, t, 1 + q + p),
+        individuals, period_values, y.reshape(n, t), z.reshape(n, t, q),
+        x.reshape(n, t, p), mask.reshape(n, t, 1 + q + p),
         response_name=schema.response, z_names=schema.parametric, x_names=schema.network,
         individual_label=schema.individual, period_label=schema.period,
     )
@@ -383,9 +415,34 @@ def _csv_fields(cells, delimiter: str = ",") -> list[str]:
     return [f'"{field}"' if _is_comment(field) else field for field in fields]
 
 
-def _write_rows(handle, columns, delimiter: str = ",") -> None:
-    """Write columns of finished cells as rows, one join per row, ended as csv.writer ends them."""
-    handle.writelines(delimiter.join(row) + "\r\n" for row in zip(*columns))
+def _write_rows(handle, labels, periods, columns, delimiter: str = ",") -> None:
+    """Write one row per (label, period), label-major, a block of whole labels at a time.
+
+    ``labels`` are finished fields (see :func:`_csv_fields`). Each column is
+    a finished field written on every row, or a pair (values, mask) of
+    arrays shaped (len(labels), len(periods)): a value is written as its
+    repr, a masked one (where mask is not None) as an empty field. A block
+    spans about ``_BLOCK_ROWS`` rows, so memory holds one block of cell
+    strings. Rows end as csv.writer ends them.
+    """
+    period_cells = list(map(str, periods))
+    step = max(1, _BLOCK_ROWS // max(1, len(period_cells)))
+    for first in range(0, len(labels), step):
+        rows = slice(first, first + step)
+        block = [[label for label in labels[rows] for _ in period_cells],
+                 period_cells * len(labels[rows])]
+        for column in columns:
+            if isinstance(column, str):
+                block.append(itertools.repeat(column))
+                continue
+            values, mask = column
+            cells = values[rows].ravel().tolist()
+            if mask is not None:
+                for k in np.flatnonzero(mask[rows]).tolist():
+                    cells[k] = ""
+            # A float's str is its repr; each is made as its row is written.
+            block.append(map(str, cells))
+        handle.writelines(delimiter.join(row) + "\r\n" for row in zip(*block))
 
 
 def emit(dataset: PanelDataset, path, delimiter: str = ",", preamble: str = "") -> None:
@@ -401,23 +458,13 @@ def emit(dataset: PanelDataset, path, delimiter: str = ",", preamble: str = "") 
         raise ConfigError(f"delimiter {delimiter!r} can occur inside a number")
     labels = _csv_fields(dataset.individuals, delimiter)
     names = dataset.physical_names()
-    t = dataset.n_periods
-    columns = [
-        [label for label in labels for _ in range(t)],
-        list(map(str, dataset.periods)) * dataset.n_individuals,
-    ]
-    for name in names:
-        values, mask = dataset.column(name)
-        cells = list(map(repr, values.ravel().tolist()))
-        for k in np.flatnonzero(mask.ravel()).tolist():
-            cells[k] = ""
-        columns.append(cells)
     with open(path, "w", encoding="utf-8", newline="") as handle:
         for line in preamble.splitlines():
             handle.write(f"# {line}\n")
         csv.writer(handle, delimiter=delimiter).writerow(
             [dataset.individual_label, dataset.period_label, *names])
-        _write_rows(handle, columns, delimiter)
+        _write_rows(handle, labels, dataset.periods, list(map(dataset.column, names)),
+                    delimiter)
 
 
 def impute_mean(dataset: PanelDataset) -> PanelDataset:

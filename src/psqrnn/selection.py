@@ -145,7 +145,10 @@ def grid_search(dataset, kind: ModelKind, grid: TauGrid, search: SearchGrid,
         raise ConfigError(f"BIC is defined for 1 or 2 hidden layers, template has {depth}")
     if depth == 2 and search.n2_values is None:
         raise ConfigError("two-hidden-layer template needs n2_values")
-    n2_candidates = search.n2_values if depth == 2 else (None,)
+    if depth == 1 and search.n2_values is not None:
+        raise ConfigError("one-hidden-layer template has no second layer to size; "
+                          "give the template two hidden layers to search n2_values")
+    n2_candidates = search.n2_values or (None,)
 
     table = []
     best_key = None

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from psqrnn import paneldata
 from psqrnn.paneldata import PanelDataset
 
 
@@ -36,6 +37,12 @@ def quantile_interval(values, tau):
 def interval_distance(value, interval):
     lo, hi = interval
     return max(lo - value, value - hi, 0.0)
+
+
+@pytest.fixture(params=[1, 3])
+def small_blocks(request, monkeypatch):
+    """Read and write panel files 1 or 3 rows at a time, so blocks split every panel."""
+    monkeypatch.setattr(paneldata, "_BLOCK_ROWS", request.param)
 
 
 @pytest.fixture

@@ -329,7 +329,7 @@ class TestGridSearch:
         assert not (tmp_path / "a.json").exists()
 
     @pytest.mark.parametrize("flag", ["--grid-lambda1=-1", "--grid-lambda2=0.01,nan",
-                                      "--grid-n1=0,3"])
+                                      "--grid-n1=0,3", "--grid-n2=5,7"])
     def test_unusable_grid_value_is_a_usage_error(self, synth_csv, tmp_path, flag,
                                                    monkeypatch):
         def no_fit(*args, **kwargs):
@@ -633,6 +633,11 @@ class TestWritersQuoteLabels:
             csv.writer(buffer).writerows(rows)
             assert text == buffer.getvalue()
             assert {row[0] for row in rows[1:]} == set(ds.individuals)
+
+
+@pytest.mark.usefixtures("small_blocks")
+class TestWritersQuoteLabelsInSmallBlocks(TestWritersQuoteLabels):
+    """The same bytes when the rows are written 1 or 3 at a time."""
 
 
 class TestCliMatchesLibrary:

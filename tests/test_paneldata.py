@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -6,6 +8,7 @@ from scipy import stats
 
 from conftest import assert_datasets_equal, make_panel
 from panel_oracle import emit_cellwise, impute_mean_rowwise, ingest_rowwise
+from psqrnn import paneldata
 from psqrnn.errors import ConfigError, DataError
 from psqrnn.paneldata import (
     DEFAULT_SCHEMA,
@@ -248,6 +251,57 @@ class TestIngestMatchesRowwiseOracle:
         assert message in got and got == outcome(ingest_rowwise, path)
 
 
+@pytest.mark.usefixtures("small_blocks")
+class TestIngestMatchesRowwiseOracleInSmallBlocks(TestIngestMatchesRowwiseOracle):
+    """The same properties with every panel split across blocks of 1 or 3 rows."""
+
+
+#: A 3x3 panel in TOY_SCHEMA; in blocks of 3 rows each individual is a block.
+NINE_ROWS = [f"{ind},{year},{10 * k + j},{k},{j}.5"
+              for k, ind in enumerate(("A", "B", "C"), start=1)
+              for j, year in enumerate((1999, 2000, 2001))]
+
+
+def edited(*edits):
+    """NINE_ROWS with each (position, row) inserted, or deleted where row is None."""
+    rows = list(NINE_ROWS)
+    for position, row in edits:
+        if row is None:
+            del rows[position]
+        else:
+            rows.insert(position, row)
+    return rows
+
+
+class TestIngestAcrossBlockBoundaries:
+    """Faults and fillers placed at and beyond 3-row block boundaries, against the oracle."""
+
+    @pytest.mark.parametrize("rows, expected", [
+        (NINE_ROWS, None),
+        (edited((3, "")), None),
+        (edited((3, ""), (4, " , "), (5, "")), None),
+        (edited((6, "# a comment"), (6, "")), None),
+        (edited((7, "C,2000,abc,3,1.5")), "line 9, column 'EC': cannot parse 'abc'"),
+        (edited((7, None), (7, "C,2000,32,3")), "line 9: 4 fields, header has 5"),
+        (edited((8, None), (8, "C,2001,nan,3,2.5")), "line 10, column 'EC': non-finite"),
+        (edited((6, None), (6, "C,99x,30,3,0.5")), "line 8, column 'year': cannot parse"),
+        (edited((7, "A,2000,0,0,0")), "line 9: duplicate row for ('A', 2000)"),
+        (edited((7, None)), "unbalanced panel: 1 missing rows, e.g. ('C', 2000)"),
+        (edited((1, None), (4, "B,2002,1,1,1")), "unbalanced panel: 3 missing rows"),
+    ], ids=["valid", "blank-at-boundary", "blank-block", "comment-at-boundary",
+            "bad-number-late", "short-row-late", "non-finite-late", "bad-period-late",
+            "duplicate-across-blocks", "gap-late", "gaps-in-two-blocks"])
+    def test_matches_oracle(self, tmp_path, monkeypatch, rows, expected):
+        monkeypatch.setattr(paneldata, "_BLOCK_ROWS", 3)
+        path = write_toy(tmp_path / "panel.csv", rows)
+        want = outcome(ingest_rowwise, path)
+        got = outcome(ingest, path)
+        if expected is None:
+            assert_datasets_equal(got, want)
+        else:
+            assert expected in got and got == want
+
+
 def masked_synthetic(seed, n=12, t=5, share=0.25):
     ds, _ = generate_synthetic(SyntheticConfig(n_individuals=n, n_periods=t), seed)
     rng = np.random.default_rng(seed)
@@ -298,6 +352,11 @@ class TestEmitMatchesCellwiseOracle:
             emit(ds, tmp_path / "out.csv")
 
 
+@pytest.mark.usefixtures("small_blocks")
+class TestEmitMatchesCellwiseOracleInSmallBlocks(TestEmitMatchesCellwiseOracle):
+    """The same bytes when the rows are written 1 or 3 at a time."""
+
+
 #: Labels ingest can give back: it strips cells, and a label with a line
 #: that starts with '#' is refused by emit (see above).
 ROUND_TRIP_LABELS = st.text(st.sampled_from(list('ab#,;\t" \r\n')), max_size=5).filter(
@@ -328,6 +387,35 @@ class TestEmitIngestRoundTrip:
         delimiter = data.draw(st.sampled_from([",", ";", "\t"]))
         emit(ds, tmp_path / "panel.csv", delimiter=delimiter, preamble='{"a": 1}')
         assert_datasets_equal(ingest(tmp_path / "panel.csv", ds.schema(), delimiter), ds)
+
+
+@pytest.mark.usefixtures("small_blocks")
+class TestEmitIngestRoundTripInSmallBlocks(TestEmitIngestRoundTrip):
+    """The round trip with rows read and written 1 or 3 at a time."""
+
+
+def traced_peak(call):
+    """call()'s result and the peak of the memory it allocated, its result included."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestBlockMemory:
+    """ingest and emit hold the arrays and one block of cell strings, not the whole file."""
+
+    def test_peak_is_a_few_times_the_arrays(self, tmp_path):
+        source = masked_synthetic(6, n=500, t=40, share=0.02)
+        path = tmp_path / "panel.csv"
+        emit(source, path)
+        ds, ingest_peak = traced_peak(lambda: ingest(path, source.schema()))
+        arrays = sum(a.nbytes for a in (ds.y, ds.z, ds.x, ds.missing_mask))
+        assert ds.y.size == 20000 and ds.missing_mask.any()
+        assert ingest_peak <= 5 * arrays
+        _, emit_peak = traced_peak(lambda: emit(ds, tmp_path / "again.csv"))
+        assert emit_peak <= 2 * arrays
 
 
 class TestImputeMean:
