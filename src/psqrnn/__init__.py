@@ -13,7 +13,6 @@ from .metrics import ForecastReport, mape, report, rrmse
 from .model import (
     ModelKind,
     ModelParameters,
-    PanelDesign,
     PenaltyConfig,
     objective,
     objective_gradient,

@@ -222,11 +222,9 @@ def cmd_grid_search(args) -> int:
                     point.status,
                 ])
     best = result.best_point
-    chosen_hidden = (best.n1,) if best.n2 is None else (best.n1, best.n2)
-    chosen_spec = NetworkSpec(input_dim=prepared.train.p, hidden_sizes=chosen_hidden,
-                              activation=args.activation)
     trained = pipeline.TrainedModel(
-        kind=kind, penalties=PenaltyConfig(best.lambda1, best.lambda2), spec=chosen_spec,
+        kind=kind, penalties=PenaltyConfig(best.lambda1, best.lambda2),
+        spec=result.best_fit.params.spec,
         config=train_config, fits=[result.best_fit], prepared=prepared,
     )
     config["selected"] = {"n1": best.n1, "n2": best.n2, "lambda1": best.lambda1,
@@ -335,6 +333,10 @@ def cmd_evaluate(args) -> int:
         a, b = np.argwhere(y_mask[cells])[0]
         raise DataError(f"actual response missing for ({individuals[a]}, {periods[b]})")
     act = y[cells]
+    if (act == 0.0).any():
+        a, b = np.argwhere(act == 0.0)[0]
+        raise DataError(f"actual response is zero for ({individuals[a]}, {periods[b]}); "
+                        "MAPE is undefined")
     pred = np.array([[predictions[(ind, per)] for per in periods] for ind in individuals])
     rep = metrics.report(act, pred)
     config = {

@@ -24,7 +24,6 @@ __all__ = [
     "ModelKind",
     "ModelParameters",
     "PenaltyConfig",
-    "PanelDesign",
     "predict_panel",
     "objective",
     "objective_gradient",
@@ -81,41 +80,6 @@ class ModelParameters:
         return None if self.net is None else self.net.spec
 
 
-@dataclass
-class PanelDesign:
-    """Flattened, individual-major view of a balanced panel.
-
-    The covariates are fully observed. ``y`` is None when some response cell
-    is unobserved, as for future targets: such a design can be predicted on
-    but not fitted.
-    """
-
-    z: np.ndarray
-    x: np.ndarray
-    y: Optional[np.ndarray]
-    individual: np.ndarray
-    n_individuals: int
-    n_periods: int
-
-    @classmethod
-    def from_dataset(cls, dataset) -> "PanelDesign":
-        n, t = dataset.n_individuals, dataset.n_periods
-        if n < 1 or t < 1:
-            raise DataError(f"degenerate panel: N={n}, T={t}")
-        if dataset.missing_mask[:, :, 1:].any():
-            raise DataError("covariates contain missing cells; impute first")
-        rows = n * t
-        observed = not dataset.missing_mask[:, :, 0].any()
-        return cls(
-            z=dataset.z.reshape(rows, dataset.q),
-            x=dataset.x.reshape(rows, dataset.p),
-            y=dataset.y.reshape(rows) if observed else None,
-            individual=np.repeat(np.arange(n), t),
-            n_individuals=n,
-            n_periods=t,
-        )
-
-
 class _Layout:
     """The packed parameter vector of one kind, the optimizer's vector.
 
@@ -166,28 +130,32 @@ class _Problem(_Layout):
     """A panel arranged once for one kind: its packed layout, the predictor
     and the checks on its inputs.
 
-    With a ``grid`` the problem is a fit, whose response must be observed;
-    without one it only predicts.
+    The covariates must be observed. With a ``grid`` the problem is a fit,
+    whose response must be observed too; without one it only predicts.
     """
 
     def __init__(self, dataset, kind: ModelKind, grid: Optional[TauGrid] = None,
                  penalties: PenaltyConfig = PenaltyConfig(),
                  spec: Optional[NetworkSpec] = None):
-        design = dataset if isinstance(dataset, PanelDesign) else PanelDesign.from_dataset(dataset)
-        if grid is not None and design.y is None:
+        n, t = dataset.n_individuals, dataset.n_periods
+        if n < 1 or t < 1:
+            raise DataError(f"degenerate panel: N={n}, T={t}")
+        if dataset.missing_mask[:, :, 1:].any():
+            raise DataError("covariates contain missing cells; impute first")
+        if grid is not None and dataset.missing_mask[:, :, 0].any():
             raise DataError("panel contains missing response cells; impute before fitting")
-        n, t = design.n_individuals, design.n_periods
-        super().__init__(kind, design.z.shape[1], n, spec)
-        p = design.x.shape[1]
+        super().__init__(kind, dataset.q, n, spec)
+        p = dataset.p
         if self.spec is not None and self.spec.input_dim != p:
             raise ConfigError(
                 f"network spec expects {spec.input_dim} inputs, panel has {p} network covariates"
             )
         self.t = t
-        self.z = design.z if kind.uses_linear_term else None
-        self.x = design.x if kind.uses_network else None
+        # Row i*T + s of z and x is the cell (individual i, period s).
+        self.z = dataset.z.reshape(n * t, dataset.q) if kind.uses_linear_term else None
+        self.x = dataset.x.reshape(n * t, p) if kind.uses_network else None
         if grid is not None:
-            self.y = design.y.reshape(n, t)
+            self.y = dataset.y
             self.tau_bar = grid.tau_bar
             self.scale = 1.0 / (grid.k * n * t)
             self.lambda1 = penalties.lambda1 if kind.uses_linear_term else 0.0

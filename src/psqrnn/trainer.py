@@ -197,7 +197,10 @@ def fit(dataset, kind: ModelKind, grid: TauGrid, penalties: PenaltyConfig,
     -----
     The linear coefficients and intercepts start at zero in every restart;
     only the network initialization is randomized (seed + restart index),
-    so the run is fully deterministic given (dataset, config).
+    so the run is fully deterministic given (dataset, config). A kind
+    without a network has nothing random, so its restarts would all repeat
+    one fit: it runs a single start whatever ``config.restarts`` says, and
+    ``restart_objectives`` has one entry.
     """
     problem = model._Problem(dataset, kind, grid, penalties, spec)
     q, n, net_spec = problem.q, problem.n, problem.spec
@@ -205,7 +208,7 @@ def fit(dataset, kind: ModelKind, grid: TauGrid, penalties: PenaltyConfig,
 
     best: Optional[FitResult] = None
     restart_objectives = []
-    for restart in range(config.restarts):
+    for restart in range(config.restarts if kind.uses_network else 1):
         net = None if net_spec is None else network.init_parameters(net_spec, config.seed + restart)
         x = model.pack_parameters(ModelParameters(np.zeros(q), np.zeros(n), net), kind)
         trace = []

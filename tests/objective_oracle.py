@@ -2,7 +2,9 @@
 
 This is the objective as it was written before the kernel: it builds
 ``ModelParameters`` and ``NetworkParameters``, runs the network row-major,
-and calls the validated public loss functions. Tests compare the kernel's
+and calls the validated public loss functions. It arranges its own rows
+from the dataset, one per (individual, period) cell, so a kernel that
+orders the rows differently disagrees with it. Tests compare the kernel's
 value and gradient against it.
 """
 
@@ -12,7 +14,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from psqrnn import losses
-from psqrnn.model import ModelKind, ModelParameters, PanelDesign, PenaltyConfig
+from psqrnn.model import ModelKind, ModelParameters, PenaltyConfig
 from psqrnn.network import NetworkParameters
 
 
@@ -62,27 +64,53 @@ def backward_rows(params: NetworkParameters, cache, cotangent: np.ndarray) -> Ne
     return NetworkParameters(spec, grad_w, grad_b)
 
 
+class Rows(NamedTuple):
+    """A panel's cells as rows, individual-major: row i*T + s is (i, s)."""
+
+    y: np.ndarray
+    z: np.ndarray
+    x: np.ndarray
+    #: The individual of each row.
+    individual: np.ndarray
+    n_individuals: int
+    n_periods: int
+
+
+def arrange(dataset) -> Rows:
+    n, t = dataset.n_individuals, dataset.n_periods
+    cells = [(i, s) for i in range(n) for s in range(t)]
+    return Rows(
+        y=np.array([dataset.y[i, s] for i, s in cells]),
+        z=np.array([dataset.z[i, s] for i, s in cells]),
+        x=np.array([dataset.x[i, s] for i, s in cells]),
+        individual=np.array([i for i, _ in cells]),
+        n_individuals=n,
+        n_periods=t,
+    )
+
+
 class Evaluation(NamedTuple):
     value: float
     data_term: float
     gradient: Optional[ModelParameters]
 
 
-def evaluate(design: PanelDesign, params: ModelParameters, kind: ModelKind,
+def evaluate(dataset, params: ModelParameters, kind: ModelKind,
              grid: losses.TauGrid, penalties: PenaltyConfig, epsilon: float,
              want_grad: bool) -> Evaluation:
+    rows = arrange(dataset)
     tau_bar = grid.tau_bar
-    n, t = design.n_individuals, design.n_periods
+    n, t = rows.n_individuals, rows.n_periods
     scale = 1.0 / (grid.k * n * t)
 
-    pred = np.zeros(design.individual.size)
+    pred = np.zeros(rows.individual.size)
     if kind.uses_linear_term:
-        pred += design.z @ params.beta + params.alpha[design.individual]
+        pred += rows.z @ params.beta + params.alpha[rows.individual]
     if kind.uses_network:
-        ann, cache = forward_rows(params.net, design.x)
+        ann, cache = forward_rows(params.net, rows.x)
         pred += ann
 
-    resid = design.y - pred
+    resid = rows.y - pred
     if not np.all(np.isfinite(resid)):
         raise ArithmeticError("non-finite residuals in objective evaluation")
 
@@ -115,7 +143,7 @@ def evaluate(design: PanelDesign, params: ModelParameters, kind: ModelKind,
     grad_alpha = np.zeros(params.alpha.size)
     grad_net = None
     if kind.uses_linear_term:
-        grad_beta = -(design.z.T @ s)
+        grad_beta = -(rows.z.T @ s)
         grad_alpha = -s.reshape(n, t).sum(axis=1)
         if penalties.lambda1 > 0.0:
             grad_alpha = grad_alpha + penalties.lambda1 * np.asarray(

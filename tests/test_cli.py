@@ -479,12 +479,13 @@ class TestPredictEvaluate:
         assert doc["report"]["mape_mean"] == 0.0
         assert "mape_std" in doc["report"]
 
-    def test_evaluate_metrics_passthrough(self, tmp_path, capsys):
-        # Hand 2x2 case from the metrics module, driven through the files.
+    @staticmethod
+    def evaluate_2x2(tmp_path, actual):
+        """``evaluate`` argv for a hand 2x2 panel of actuals and fixed predictions."""
         actuals = tmp_path / "actuals.csv"
         with open(actuals, "w") as handle:
             handle.write("individual,period,y,z1,x1\n")
-            for ind, series in (("a", (100.0, 200.0)), ("b", (50.0, 80.0))):
+            for ind, series in zip(("a", "b"), actual):
                 for year, value in zip((2000, 2001), series):
                     handle.write(f"{ind},{year},{value!r},0.0,0.0\n")
         pred = tmp_path / "pred.csv"
@@ -496,12 +497,23 @@ class TestPredictEvaluate:
                 handle.write(f"{ind},{year},,{value!r}\n")
         schema_flags = ["--individual-col", "individual", "--period-col", "period",
                         "--response", "y", "--parametric", "z1", "--network", "x1"]
-        code, status = run_json(["evaluate", "--predictions", str(pred),
-                                 "--actuals", str(actuals), *schema_flags], capsys)
-        assert code == 0
+        return ["evaluate", "--predictions", str(pred), "--actuals", str(actuals),
+                *schema_flags]
+
+    def test_evaluate_metrics_passthrough(self, tmp_path, capsys):
+        # Hand 2x2 case from the metrics module, driven through the files.
         actual = np.array([[100.0, 200.0], [50.0, 80.0]])
+        code, status = run_json(self.evaluate_2x2(tmp_path, actual.tolist()), capsys)
+        assert code == 0
         predicted = np.array([[110.0, 180.0], [55.0, 72.0]])
         assert status["total_mape"] == np.mean(np.abs((actual - predicted) / actual))
+
+    def test_evaluate_zero_actual_is_a_data_error(self, tmp_path, capsys):
+        argv = self.evaluate_2x2(tmp_path, [[100.0, 200.0], [50.0, 0.0]])
+        capsys.readouterr()
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert "actual response is zero for (b, 2001); MAPE is undefined" in err
 
     def test_evaluate_misaligned_keys(self, synth_csv, tmp_path):
         pred = tmp_path / "pred.csv"

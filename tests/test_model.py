@@ -13,7 +13,6 @@ from psqrnn.losses import TauGrid
 from psqrnn.model import (
     ModelKind,
     ModelParameters,
-    PanelDesign,
     PenaltyConfig,
     objective,
     objective_gradient,
@@ -260,9 +259,9 @@ class TestObjectiveGradient:
         assert grad.net is None
 
 
-def kernel(design, params, kind, grid, pen, eps):
+def kernel(dataset, params, kind, grid, pen, eps):
     """The flat-vector kernel's evaluation and its gradient in ModelParameters shape."""
-    problem = model._Problem(design, kind, grid, pen,
+    problem = model._Problem(dataset, kind, grid, pen,
                              params.net.spec if kind.uses_network else None)
     ev = model._evaluate(problem, pack_parameters(params, kind), eps, want_grad=True)
     grad = unpack_parameters(ev.gradient, kind, problem.q, problem.n, problem.spec)
@@ -336,9 +335,8 @@ class TestKernelMatchesOracle:
     @given(objective_cases())
     def test_value_and_gradient(self, case):
         ds, params, kind, grid, pen, eps = case
-        design = PanelDesign.from_dataset(ds)
-        ev, grad = kernel(design, params, kind, grid, pen, eps)
-        want = objective_oracle.evaluate(design, params, kind, grid, pen, eps, True)
+        ev, grad = kernel(ds, params, kind, grid, pen, eps)
+        want = objective_oracle.evaluate(ds, params, kind, grid, pen, eps, True)
         assert abs(ev.value - want.value) <= 1e-12 * want.value
         assert abs(ev.data_term - want.data_term) <= 1e-12 * want.data_term
         want_blocks = blocks(want.gradient, kind)
@@ -346,7 +344,7 @@ class TestKernelMatchesOracle:
 
     def test_value_only_call_has_no_gradient(self, rng):
         ds, spec = random_instance(rng, 2, 3, 1, 2)
-        problem = model._Problem(PanelDesign.from_dataset(ds), ModelKind.PSQRNN,
+        problem = model._Problem(ds, ModelKind.PSQRNN,
                                  TauGrid.single(0.5), PenaltyConfig(0.1, 0.1), spec)
         vector = rng.standard_normal(problem.size)
         value_only = model._evaluate(problem, vector, 0.1, want_grad=False)
@@ -367,8 +365,8 @@ class TestPermutationInvariance:
         random.shuffle(perm)
         shuffled = make_panel(ds.y[perm], ds.z[perm], ds.x[perm])
         moved = ModelParameters(params.beta, params.alpha[perm], params.net)
-        ev, grad = kernel(PanelDesign.from_dataset(ds), params, kind, grid, pen, eps)
-        ev_p, grad_p = kernel(PanelDesign.from_dataset(shuffled), moved, kind, grid, pen, eps)
+        ev, grad = kernel(ds, params, kind, grid, pen, eps)
+        ev_p, grad_p = kernel(shuffled, moved, kind, grid, pen, eps)
         assert ev_p.value == ev.value
         assert ev_p.data_term == ev.data_term
         grad.alpha = grad.alpha[perm]
@@ -380,30 +378,30 @@ class TestCompositeCollapse:
     """The data term at tau_bar against the K-column form it replaced."""
 
     @staticmethod
-    def k_column_oracle(design, params, grid, eps):
+    def k_column_oracle(dataset, params, grid, eps):
         # One smoothed check-loss column per level, weighted and summed.
-        ann, cache = objective_oracle.forward_rows(params.net, design.x)
-        resid = design.y - (design.z @ params.beta + params.alpha[design.individual] + ann)
+        rows = objective_oracle.arrange(dataset)
+        ann, cache = objective_oracle.forward_rows(params.net, rows.x)
+        resid = rows.y - (rows.z @ params.beta + params.alpha[rows.individual] + ann)
         taus, weights = np.array(grid.taus), np.array(grid.weights)
-        n, t, k = design.n_individuals, design.n_periods, grid.k
+        n, t, k = rows.n_individuals, rows.n_periods, grid.k
         scale = 1.0 / (k * n * t)
         loss = weights * losses.smoothed_pinball(resid[:, None], taus, eps)
         value = math.fsum(loss.reshape(n, t, k).sum(axis=(1, 2)).tolist()) * scale
         s = (weights * losses.smoothed_pinball_deriv(resid[:, None], taus, eps)).sum(axis=1)
         s = s * scale
         grad_net = objective_oracle.backward_rows(params.net, cache, -s)
-        return value, ModelParameters(-(design.z.T @ s), -s.reshape(n, t).sum(axis=1),
+        return value, ModelParameters(-(rows.z.T @ s), -s.reshape(n, t).sum(axis=1),
                                       grad_net)
 
     @pytest.mark.parametrize("grid", GRIDS.values(), ids=GRIDS.keys())
     @pytest.mark.parametrize("eps", EPSILONS)
     def test_matches_k_column_form(self, rng, grid, eps):
         ds, spec = random_instance(rng, 6, 7, 2, 3)
-        design = PanelDesign.from_dataset(ds)
         params = ModelParameters(rng.standard_normal(2), rng.standard_normal(6),
                                  network.init_parameters(spec, 5))
-        ev, grad = kernel(design, params, ModelKind.PSQRNN, grid, PenaltyConfig(), eps)
-        value, want = self.k_column_oracle(design, params, grid, eps)
+        ev, grad = kernel(ds, params, ModelKind.PSQRNN, grid, PenaltyConfig(), eps)
+        value, want = self.k_column_oracle(ds, params, grid, eps)
         assert abs(ev.value - value) <= 1e-12 * abs(value)
         assert_blocks_close(blocks(grad, ModelKind.PSQRNN), blocks(want, ModelKind.PSQRNN))
 
@@ -432,20 +430,22 @@ class TestPackUnpack:
                        for a, b in zip(back.net.weights, params.net.weights))
 
 
-class TestPanelDesign:
-    def test_masked_panel_rejected(self):
+class TestProblemInputs:
+    """The checks ``model._Problem`` makes on a panel before it arranges it."""
+
+    def test_masked_covariates_rejected(self):
         bad = make_panel(np.zeros((1, 1)), x=np.zeros((1, 1, 1)))
         bad.missing_mask[0, 0, 1] = True
-        with pytest.raises(DataError):
-            PanelDesign.from_dataset(bad)
+        with pytest.raises(DataError, match="covariates contain missing cells"):
+            model._Problem(bad, ModelKind.LINEAR)
 
-    def test_masked_response_leaves_no_response(self):
+    def test_masked_response_predicts_but_cannot_fit(self):
         ds = make_panel([[1.0, np.nan]])
         ds.missing_mask[0, 1, 0] = True
-        assert PanelDesign.from_dataset(ds).y is None
+        assert model._Problem(ds, ModelKind.LINEAR).t == 2
+        with pytest.raises(DataError, match="missing response cells"):
+            model._Problem(ds, ModelKind.LINEAR, TauGrid.single(0.5))
 
-    def test_row_order_is_individual_major(self, rng):
-        y = rng.standard_normal((2, 3))
-        design = PanelDesign.from_dataset(make_panel(y))
-        assert np.array_equal(design.y, y.reshape(-1))
-        assert np.array_equal(design.individual, [0, 0, 0, 1, 1, 1])
+    def test_degenerate_panel_rejected(self):
+        with pytest.raises(DataError, match=r"degenerate panel: N=0, T=3"):
+            model._Problem(make_panel(np.zeros((0, 3))), ModelKind.LINEAR)

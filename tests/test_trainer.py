@@ -214,6 +214,24 @@ class TestEvaluationBudget:
         assert len(evaluations) == sum(r.nfev for r in stages)
         assert all(evaluations)
 
+    def test_linear_fit_runs_one_start(self, rng, monkeypatch):
+        # Every linear restart starts at beta = alpha = 0 and would repeat the first.
+        ds = make_panel(rng.standard_normal((3, 6)), z=rng.standard_normal((3, 6, 1)))
+        evaluations, _ = self.record_calls(monkeypatch)
+
+        def run(restarts):
+            evaluations.clear()
+            result = fit(ds, ModelKind.LINEAR, TauGrid.single(0.3), PenaltyConfig(0.1, 0),
+                         None, TrainConfig(restarts=restarts, seed=0))
+            return result, len(evaluations)
+
+        (one, calls_one), (three, calls_three) = run(1), run(3)
+        assert calls_three == calls_one > 0
+        assert np.array_equal(three.params.beta, one.params.beta)
+        assert np.array_equal(three.params.alpha, one.params.alpha)
+        assert three.final_objective == one.final_objective
+        assert three.restart_objectives == one.restart_objectives == [one.final_objective]
+
     def test_stage_objective_is_value_at_stage_end(self, rng, monkeypatch):
         ds = make_panel(rng.standard_normal((3, 6)), x=rng.standard_normal((3, 6, 2)))
         _, stages = self.record_calls(monkeypatch)
