@@ -15,6 +15,7 @@ import numpy as np
 
 from . import model, network
 from .errors import ConfigError, TrainingError
+from .lbfgs import minimize
 from .losses import TauGrid
 from .model import ModelKind, ModelParameters, PenaltyConfig
 from .network import NetworkSpec
@@ -76,8 +77,8 @@ class TrainConfig:
             raise ConfigError(f"restarts must be >= 1, got {self.restarts}")
         if self.max_iters_per_stage < 1:
             raise ConfigError(f"max_iters_per_stage must be >= 1, got {self.max_iters_per_stage}")
-        if not self.grad_tol > 0.0:
-            raise ConfigError(f"grad_tol must be positive, got {self.grad_tol!r}")
+        if not (math.isfinite(self.grad_tol) and self.grad_tol > 0.0):
+            raise ConfigError(f"grad_tol must be positive and finite, got {self.grad_tol!r}")
 
 
 @dataclass
@@ -113,32 +114,22 @@ class FitResult:
     restart_objectives: list[float] = field(default_factory=list)
 
 
-def minimize(*args, **kwargs):
-    """``scipy.optimize.minimize``, imported on the first call.
-
-    Only a fit needs scipy, so commands that never fit do not pay for
-    importing it.
-    """
-    from scipy.optimize import minimize as scipy_minimize
-
-    return scipy_minimize(*args, **kwargs)
-
-
 def _minimize_stage(problem, x0, epsilon: float, config: TrainConfig):
-    """Run one L-BFGS-B stage; returns (OptimizeResult, objective path, data term).
+    """Run one L-BFGS stage; returns (OptimizeResult, objective path, data term).
 
-    L-BFGS-B takes the result's ``fun`` and ``jac`` from its last call of
-    ``fun``, made at the result's ``x``; the data term returned is that
-    call's too. The path holds the value at x0 and after every iteration.
-    Each value comes from an evaluation the optimizer made anyway. A numeric
-    failure is raised as a TrainingError naming the stage.
+    The result's ``fun`` and ``jac``, and the data term returned, come from
+    the evaluation at the result's ``x``: x0's, or that of the last
+    iteration the optimizer accepted. The path holds the value at x0 and
+    after every iteration. Each value comes from an evaluation the
+    optimizer made anyway. A numeric failure is raised as a TrainingError
+    naming the stage.
     """
     path = []
     evaluations = 0
-    last = None
+    last = accepted = None
 
     def fun(x):
-        nonlocal evaluations, last
+        nonlocal evaluations, last, accepted
         evaluations += 1
         try:
             last = model._evaluate(problem, x, epsilon, want_grad=True)
@@ -149,26 +140,20 @@ def _minimize_stage(problem, x0, epsilon: float, config: TrainConfig):
                 epsilon=epsilon,
                 evaluations=evaluations,
             ) from exc
-        if not path:  # L-BFGS-B evaluates x0 first
+        if not path:  # the optimizer evaluates x0 first
             path.append(last.value)
+            accepted = last
         return last.value, last.gradient
 
-    def track(intermediate_result):
-        path.append(float(intermediate_result.fun))
+    def track(x, value):
+        nonlocal accepted
+        # An iteration ends at the point of the optimizer's last evaluation.
+        accepted = last
+        path.append(value)
 
-    result = minimize(
-        fun,
-        x0,
-        jac=True,
-        method="L-BFGS-B",
-        callback=track,
-        options={
-            "maxiter": config.max_iters_per_stage,
-            "gtol": config.grad_tol,
-            "ftol": 1e-12,
-        },
-    )
-    return result, path, last.data_term
+    result = minimize(fun, x0, maxiter=config.max_iters_per_stage, gtol=config.grad_tol,
+                      ftol=1e-12, callback=track)
+    return result, path, accepted.data_term
 
 
 def fit(dataset, kind: ModelKind, grid: TauGrid, penalties: PenaltyConfig,
@@ -218,7 +203,7 @@ def fit(dataset, kind: ModelKind, grid: TauGrid, penalties: PenaltyConfig,
             trace.append(StageRecord(epsilon, int(result.nit), int(result.nfev),
                                      float(result.fun), str(result.message), path))
         # The last stage runs at eps_end: its result is the restart's final state.
-        # L-BFGS-B's status 0 means one of its tolerance tests stopped it, not
+        # Status 0 means one of the optimizer's tolerance tests stopped it, not
         # the iteration cap or a failed line search.
         final_value = float(result.fun)
         converged = bool(result.status == 0)

@@ -236,6 +236,14 @@ class TestTrain:
         assert run(["train", "--input", str(synth_csv),
                     "--output", str(tmp_path / "f.json"), "--optimizer", "gd"]) == 1
 
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_grad_tol_is_a_usage_error(self, synth_csv, tmp_path, value):
+        # With an infinite tolerance every stage would stop at its start.
+        art = tmp_path / "f.json"
+        assert run(["train", "--input", str(synth_csv), "--output", str(art),
+                    "--grad-tol", value]) == 1
+        assert not art.exists()
+
     def test_missing_input_is_data_error(self, tmp_path):
         assert run(["train", "--input", str(tmp_path / "absent.csv"),
                     "--output", str(tmp_path / "f.json")]) == 2
@@ -704,7 +712,7 @@ def test_package_import_leaves_scipy_unloaded():
 
 
 class TestCommandImports:
-    """Only a fit loads scipy: each command runs in a new interpreter."""
+    """No command loads scipy: each runs in a new interpreter."""
 
     CODE = f"""
 import contextlib, io, json, sys
@@ -718,7 +726,7 @@ print(json.dumps([code, {_SCIPY_LOADED}]))
     def files(self, tmp_path_factory):
         root = tmp_path_factory.mktemp("imports")
         paths = {name: str(root / name) for name in
-                 ("panel.csv", "clean.csv", "fit.json", "fit2.json", "pred.csv")}
+                 ("panel.csv", "clean.csv", "fit.json", "pred.csv")}
         assert run(["synth", "--output", paths["panel.csv"], "--seed", "2",
                     "--n-individuals", "3", "--n-periods", "12"]) == 0
         assert run(["train", "--input", paths["panel.csv"], "--output", paths["fit.json"],
@@ -744,11 +752,38 @@ print(json.dumps([code, {_SCIPY_LOADED}]))
         }[command]
         assert self.loaded(argv) == []
 
-    def test_train_loads_the_optimizer(self, files):
-        modules = self.loaded(["train", "--input", files["panel.csv"], "--output",
-                               files["fit2.json"], "--kind", "linear", "--restarts", "1",
-                               "--max-iters", "2"])
-        assert "scipy.optimize" in modules
+    def test_every_command_runs_with_scipy_blocked(self, tmp_path):
+        # A None entry in sys.modules makes every import of scipy fail.
+        code = f"""
+import contextlib, io, json, sys
+sys.modules["scipy"] = None
+from psqrnn import cli
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(cli.main(argv))
+del sys.modules["scipy"]
+print(json.dumps([codes, {_SCIPY_LOADED}]))
+"""
+        path = {name: str(tmp_path / name) for name in
+                ("panel.csv", "psqrnn.json", "linear.json", "grid.json", "pred.csv")}
+        fast = ["--restarts", "1", "--max-iters", "3", "--eps-end", str(2.0 ** -12)]
+        chain = [
+            ["synth", "--output", path["panel.csv"], "--seed", "2", "--n-individuals", "3",
+             "--n-periods", "12"],
+            ["train", "--input", path["panel.csv"], "--output", path["psqrnn.json"],
+             "--hidden", "3", *fast],
+            ["train", "--input", path["panel.csv"], "--output", path["linear.json"],
+             "--kind", "linear", *fast],
+            ["grid-search", "--input", path["panel.csv"], "--output", path["grid.json"],
+             "--hidden", "2", "--grid-n1", "1,2", *fast],
+            ["predict", "--artifact", path["psqrnn.json"], "--input", path["panel.csv"],
+             "--output", path["pred.csv"]],
+            ["evaluate", "--predictions", path["pred.csv"], "--actuals", path["panel.csv"]],
+        ]
+        codes, modules = _fresh_python(code, json.dumps(chain))
+        assert codes == [0] * len(chain)
+        assert modules == []
 
 
 def _ingest_embedded(path):

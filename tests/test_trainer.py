@@ -46,6 +46,12 @@ class TestEpsilonSequence:
             AnnealSchedule(-1.0, 0.5, 0.5)
 
 
+@pytest.mark.parametrize("grad_tol", [float("inf"), float("nan"), 0.0, -1e-6])
+def test_grad_tol_must_be_positive_and_finite(grad_tol):
+    with pytest.raises(ConfigError, match="grad_tol"):
+        TrainConfig(grad_tol=grad_tol)
+
+
 class TestFit:
     def test_descent_from_initialization(self, rng):
         ds = make_panel(np.zeros((2, 6)), x=rng.standard_normal((2, 6, 2)))
