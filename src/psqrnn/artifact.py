@@ -22,7 +22,7 @@ from .model import ModelKind, ModelParameters
 from .network import NetworkParameters, NetworkSpec
 from .paneldata import PanelDataset, PanelSchema, StandardizationState
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -159,11 +159,19 @@ class FitArtifact:
     config: dict
 
 
-def _params_from_dict(d: dict) -> ModelParameters:
+def _params_from_dict(d: dict, kind: ModelKind, panel: dict) -> ModelParameters:
+    """A fit's parameters, which must be what its kind unpacks to on the panel."""
     net = d["net"]
     if net is not None:
         net = NetworkParameters(NetworkSpec(**net["spec"]), net["weights"], net["biases"])
-    return ModelParameters(d["beta"], d["alpha"], net)
+    params = ModelParameters(d["beta"], d["alpha"], net)
+    layout = model._Layout(kind, len(panel["z_names"]), len(panel["individuals"]), params.spec)
+    sizes = (params.beta.size, params.alpha.size, params.spec and params.spec.input_dim)
+    want = (layout.q, layout.n, layout.spec and len(panel["x_names"]))
+    if sizes != want:
+        raise ValueError(f"beta, alpha and network input sizes {sizes}; kind {kind.value!r} "
+                         f"on this panel needs {want}")
+    return params
 
 
 def load(path) -> FitArtifact:
@@ -186,10 +194,17 @@ def load(path) -> FitArtifact:
         if state is not None:
             state = StandardizationState(**{
                 k: tuple(v) if isinstance(v, list) else v for k, v in state.items()})
+            if not (len(state.z_means) == len(state.z_stds) == len(state.z_names)
+                    and len(state.x_means) == len(state.x_stds) == len(state.x_names)):
+                raise ValueError("standardization means, deviations and names differ in length")
+        kind = ModelKind(config["kind"])
+        params = tuple(_params_from_dict(fit["params"], kind, panel) for fit in fits)
+        if not params:
+            raise ValueError("the artifact holds no fit")
         return FitArtifact(
-            kind=ModelKind(config["kind"]),
+            kind=kind,
             scenario=config["scenario"],
-            params=tuple(_params_from_dict(fit["params"]) for fit in fits),
+            params=params,
             tau_labels=tuple("" if len(fit["taus"]) > 1 else repr(fit["taus"][0])
                              for fit in fits),
             state=state,
@@ -198,7 +213,7 @@ def load(path) -> FitArtifact:
             x_names=tuple(panel["x_names"]),
             config=config,
         )
-    except (AttributeError, KeyError, TypeError, ValueError, ConfigError) as exc:
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError, ConfigError) as exc:
         raise DataError(f"artifact {path} is malformed: {exc!r}") from None
 
 

@@ -268,7 +268,11 @@ def _read_predictions(path: str, tau: Optional[str]) -> dict:
     """
     data = {}
     taus_seen = set()
-    with open(path, encoding="utf-8", newline="") as handle:
+    try:
+        handle = open(path, encoding="utf-8", newline="")
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from None
+    with handle:
         lines = paneldata._NumberedLines(handle)
         reader = csv.reader(lines)
         try:

@@ -40,6 +40,9 @@ _MEMORY = 10
 _MAX_EVALUATIONS = 15000
 #: Line search evaluations allowed per iteration, ``maxls``.
 _MAX_LINE_EVALUATIONS = 20
+#: Relative decrease at which a run stops, L-BFGS-B's ``ftol`` (it tests
+#: factr*epsmch with factr = ftol/eps, which at 1e-12 is 1e-12 exactly).
+_DECREASE_TOL = 1e-12
 #: Bounds of a line search step; the upper one is L-BFGS-B's ``big``.
 _STPMIN, _STPMAX = 0.0, 1e10
 
@@ -62,19 +65,16 @@ class OptimizeResult:
     message: str
 
 
-def minimize(fun, x0, *, maxiter: int, gtol: float, ftol: float,
-             callback=None) -> OptimizeResult:
+def minimize(fun, x0, *, maxiter: int, gtol: float, callback=None) -> OptimizeResult:
     """Minimize ``fun`` from ``x0``; ``fun(x)`` returns (value, gradient).
 
     Stops when an iteration ends with max|g| <= ``gtol`` or with a decrease
-    f_old - f <= ``ftol``·max(|f_old|, |f|, 1) (tested in that order, after
+    f_old - f <= 1e-12·max(|f_old|, |f|, 1) (tested in that order, after
     the iteration and evaluation limits), or when ``maxiter`` iterations are
     done, or when more than 15000 evaluations are done. ``callback(x, f)``
     runs after every iteration, at the point the iteration accepted, which
     is the point of the last evaluation made.
     """
-    # L-BFGS-B compares the decrease with factr*epsmch, where factr = ftol/eps.
-    tol = ftol / _EPS * _EPS
     x = np.array(x0, dtype=float)
     f, g = fun(x)
     f = float(f)
@@ -123,7 +123,7 @@ def minimize(fun, x0, *, maxiter: int, gtol: float, ftol: float,
             return OptimizeResult(x, f, g, nit, nfev, 1, MAXFUN_MESSAGE)
         if np.abs(g).max() <= gtol:
             return OptimizeResult(x, f, g, nit, nfev, 0, PGTOL_MESSAGE)
-        if f_old - f <= tol * max(abs(f_old), abs(f), 1.0):
+        if f_old - f <= _DECREASE_TOL * max(abs(f_old), abs(f), 1.0):
             return OptimizeResult(x, f, g, nit, nfev, 0, FTOL_MESSAGE)
         # s = step*d, so s'y = step*(g'd - g_old'd), as L-BFGS-B forms it.
         sy = (gd - gd_old) * step

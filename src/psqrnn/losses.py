@@ -57,6 +57,18 @@ def pinball(u, tau):
     return _as_result(u * (tau - (u < 0.0)))
 
 
+def _huber_value_and_deriv(u, epsilon, want_deriv):
+    """The Huber norm of an array ``u`` and, if asked, its derivative, sharing
+    |u| and the inside mask; the one kernel behind the loss functions here
+    and the fit's objective, which check ``epsilon`` before calling it."""
+    a = np.abs(u)
+    inside = a <= epsilon
+    value = np.where(inside, u * u / (2.0 * epsilon), a - 0.5 * epsilon)
+    if not want_deriv:
+        return value, None
+    return value, np.where(inside, u / epsilon, np.sign(u))
+
+
 def huber(u, epsilon):
     """Huber norm: quadratic within ``epsilon`` of zero, absolute beyond.
 
@@ -64,16 +76,13 @@ def huber(u, epsilon):
     ``|u| - epsilon / 2`` otherwise; continuously differentiable at the join.
     """
     _check_epsilon(epsilon)
-    u = np.asarray(u, dtype=float)
-    a = np.abs(u)
-    return _as_result(np.where(a <= epsilon, u * u / (2.0 * epsilon), a - 0.5 * epsilon))
+    return _as_result(_huber_value_and_deriv(np.asarray(u, dtype=float), epsilon, False)[0])
 
 
 def huber_deriv(u, epsilon):
     """Derivative of :func:`huber` with respect to ``u``."""
     _check_epsilon(epsilon)
-    u = np.asarray(u, dtype=float)
-    return _as_result(np.where(np.abs(u) <= epsilon, u / epsilon, np.sign(u)))
+    return _as_result(_huber_value_and_deriv(np.asarray(u, dtype=float), epsilon, True)[1])
 
 
 def smoothed_pinball(u, tau, epsilon):
@@ -88,9 +97,8 @@ def smoothed_pinball(u, tau, epsilon):
     _check_epsilon(epsilon)
     u = np.asarray(u, dtype=float)
     tau = np.asarray(tau, dtype=float)
-    a = np.abs(u)
-    hub = np.where(a <= epsilon, u * u / (2.0 * epsilon), a - 0.5 * epsilon)
-    return _as_result(np.where(u >= 0.0, tau, 1.0 - tau) * hub)
+    side = np.where(u >= 0.0, tau, 1.0 - tau)
+    return _as_result(side * _huber_value_and_deriv(u, epsilon, False)[0])
 
 
 def smoothed_pinball_deriv(u, tau, epsilon):
@@ -104,9 +112,7 @@ def smoothed_pinball_deriv(u, tau, epsilon):
     u = np.asarray(u, dtype=float)
     tau = np.asarray(tau, dtype=float)
     side = np.where(u >= 0.0, tau, 1.0 - tau)
-    inside = side * u / epsilon
-    outside = np.sign(u) * side
-    return _as_result(np.where(np.abs(u) <= epsilon, inside, outside))
+    return _as_result(side * _huber_value_and_deriv(u, epsilon, True)[1])
 
 
 @dataclass(frozen=True)

@@ -182,17 +182,6 @@ class _Problem(_Layout):
         return pred, cache
 
 
-def _huber_value_and_deriv(u, epsilon, want_deriv):
-    """The Huber norm of ``u`` and, if asked, its derivative, sharing |u| and
-    the inside mask; as ``losses.huber``/``huber_deriv`` without validation."""
-    a = np.abs(u)
-    inside = a <= epsilon
-    value = np.where(inside, u * u / (2.0 * epsilon), a - 0.5 * epsilon)
-    if not want_deriv:
-        return value, None
-    return value, np.where(inside, u / epsilon, np.sign(u))
-
-
 class _Evaluation(NamedTuple):
     value: float
     data_term: float
@@ -226,13 +215,13 @@ def _evaluate(problem: _Problem, vector: np.ndarray, epsilon: float, *,
     # individual first so the final compensated sum is invariant to
     # individual ordering.
     side = np.where(resid >= 0.0, p.tau_bar, 1.0 - p.tau_bar)
-    hub, hub_deriv = _huber_value_and_deriv(resid, epsilon, want_grad)
+    hub, hub_deriv = losses._huber_value_and_deriv(resid, epsilon, want_grad)
     loss = side * hub
     data_term = math.fsum(loss.sum(axis=1).tolist()) * p.scale
 
     value = data_term
     if p.lambda1 > 0.0:
-        alpha_hub, alpha_hub_deriv = _huber_value_and_deriv(alpha, epsilon, want_grad)
+        alpha_hub, alpha_hub_deriv = losses._huber_value_and_deriv(alpha, epsilon, want_grad)
         value += p.lambda1 * math.fsum(alpha_hub.tolist()) / n
     if p.lambda2 > 0.0:
         sq = sum(float((net_vector[h] * net_vector[h]).sum())

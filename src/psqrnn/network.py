@@ -26,19 +26,18 @@ __all__ = [
 ]
 
 
-def _elu(x, alpha):
-    # max(x, 0) + alpha * expm1(min(x, 0)): each branch adds an exact zero to
-    # the other, and expm1 only sees the negative part.
+def _elu(x):
+    # max(x, 0) + expm1(min(x, 0)): each branch adds an exact zero to the
+    # other, and expm1 only sees the negative part.
     out = np.expm1(np.minimum(x, 0.0))
-    out *= alpha
     out += np.maximum(x, 0.0)
     return out
 
 
-def _elu_deriv(x, y, alpha):
-    # alpha * exp(x) = y + alpha on the negative branch, read off the
-    # activation y.
-    return np.where(x >= 0.0, 1.0, y + alpha)
+def _elu_deriv(x, y):
+    # 1 on the positive branch, where y >= 0; exp(x) = y + 1 on the negative
+    # branch, read off the activation y < 0.
+    return np.minimum(y, 0.0) + 1.0
 
 
 def _logistic(x):
@@ -48,43 +47,35 @@ def _logistic(x):
         return 1.0 / (1.0 + np.exp(-x))
 
 
-def _sigmoid(x, alpha):
-    return _logistic(x)
-
-
-def _sigmoid_deriv(x, y, alpha):
+def _sigmoid_deriv(x, y):
     return y * (1.0 - y)
 
 
-def _tanh(x, alpha):
-    return np.tanh(x)
-
-
-def _tanh_deriv(x, y, alpha):
+def _tanh_deriv(x, y):
     return 1.0 - y * y
 
 
-def _softplus(x, alpha):
+def _softplus(x):
     return np.logaddexp(0.0, x)
 
 
-def _softplus_deriv(x, y, alpha):
+def _softplus_deriv(x, y):
     return _logistic(x)
 
 
-def _relu(x, alpha):
+def _relu(x):
     return np.maximum(x, 0.0)
 
 
-def _relu_deriv(x, y, alpha):
+def _relu_deriv(x, y):
     return (x > 0.0).astype(float)
 
 
-#: name -> (activation f(x, alpha), derivative f'(x, y, alpha) given y = f(x)).
+#: name -> (activation f(x), derivative f'(x, y) given y = f(x)).
 _ACTIVATIONS = {
     "elu": (_elu, _elu_deriv),
-    "sigmoid": (_sigmoid, _sigmoid_deriv),
-    "tanh": (_tanh, _tanh_deriv),
+    "sigmoid": (_logistic, _sigmoid_deriv),
+    "tanh": (np.tanh, _tanh_deriv),
     "softplus": (_softplus, _softplus_deriv),
     "relu": (_relu, _relu_deriv),
 }
@@ -97,7 +88,6 @@ class NetworkSpec:
     input_dim: int
     hidden_sizes: tuple[int, ...]
     activation: str = "elu"
-    elu_alpha: float = 1.0
 
     def __post_init__(self):
         object.__setattr__(self, "hidden_sizes", tuple(int(h) for h in self.hidden_sizes))
@@ -110,8 +100,6 @@ class NetworkSpec:
                 f"unsupported activation {self.activation!r}; "
                 f"choose from {sorted(_ACTIVATIONS)}"
             )
-        if not self.elu_alpha > 0.0:
-            raise ConfigError(f"elu_alpha must be positive, got {self.elu_alpha}")
 
     @property
     def n_hidden_layers(self) -> int:
@@ -267,7 +255,7 @@ def forward_batch(params, x: np.ndarray):
         z = w.T @ g
         z += b[:, None]
         pre.append(z)
-        g = fn(z, spec.elu_alpha)
+        g = fn(z)
         acts.append(g)
     # einsum sums each column in the same order wherever it sits; BLAS gemv
     # treats the last few columns apart, so a row's output would depend on
@@ -301,7 +289,7 @@ def backward_batch(params, cache, cotangent: np.ndarray) -> np.ndarray:
     parts[-1] = acts[-1] @ cotangent
     upstream = params.weights[-1] * cotangent
     for l in range(n_layers - 1, -1, -1):
-        dz = upstream * dfn(pre[l], acts[l + 1], spec.elu_alpha)
+        dz = upstream * dfn(pre[l], acts[l + 1])
         # dz @ acts[l]' is the transposed gradient of W, so its row-major
         # ravel is the column-major layout flatten uses.
         parts[2 * l] = (dz @ acts[l].T).ravel()

@@ -42,8 +42,6 @@ __all__ = [
 _MISSING_TOKENS = ("", "NA")
 #: What a missing cell parses as; other (stripped) cells parse as themselves.
 _MISSING_FILL = dict.fromkeys(_MISSING_TOKENS, "nan")
-#: Every character of a written number cell: a float's repr or a period.
-_NUMBER_CHARS = "0123456789+-.einfa"
 #: Rows parsed or written at a time: a panel file is held in memory as its
 #: arrays plus one block of cell strings, never as all of its strings.
 _BLOCK_ROWS = 4096
@@ -317,11 +315,6 @@ def _parse_block(reader, schema: PanelSchema, index: dict, width: int, value_col
     return row_i, row_t, values, missing
 
 
-def _check_delimiter(delimiter) -> None:
-    if not isinstance(delimiter, str) or len(delimiter) != 1:
-        raise ConfigError(f"delimiter must be a single character, got {delimiter!r}")
-
-
 def ingest(path, schema: PanelSchema = DEFAULT_SCHEMA, delimiter: str = ",") -> PanelDataset:
     """Read a delimited panel file into a balanced dataset.
 
@@ -332,7 +325,8 @@ def ingest(path, schema: PanelSchema = DEFAULT_SCHEMA, delimiter: str = ",") -> 
     numbers, comment lines included. The rows are parsed ``_BLOCK_ROWS`` at
     a time, so memory holds the arrays and one block of cell strings.
     """
-    _check_delimiter(delimiter)
+    if not isinstance(delimiter, str) or len(delimiter) != 1:
+        raise ConfigError(f"delimiter must be a single character, got {delimiter!r}")
     value_cols = [schema.response, *schema.covariate_names()]
     labels, periods, blocks = {}, {}, []
     with open(path, encoding="utf-8", newline="") as handle:
@@ -395,7 +389,7 @@ def ingest(path, schema: PanelSchema = DEFAULT_SCHEMA, delimiter: str = ",") -> 
     )
 
 
-def _csv_fields(cells, delimiter: str = ",") -> list[str]:
+def _csv_fields(cells) -> list[str]:
     """Each cell as :func:`csv.writer` writes it inside a row, quoted only if needed.
 
     These cells start their lines, and a reader skips a line that starts
@@ -407,15 +401,15 @@ def _csv_fields(cells, delimiter: str = ",") -> list[str]:
             raise DataError(f"label {cell!r} has a line starting with '#', "
                             "which a reader would skip as a comment")
     # writerow returns what the file's write returned: here, the row's text.
-    writer = csv.writer(SimpleNamespace(write=str), delimiter=delimiter)
+    writer = csv.writer(SimpleNamespace(write=str))
     # A lone empty field would be quoted, so each row ends in an empty field,
-    # cut off again with the delimiter and the "\r\n" terminator.
+    # cut off again with the comma and the "\r\n" terminator.
     fields = [writer.writerow((cell, ""))[:-3] for cell in cells]
     # Such a field holds no quote character, or csv.writer would have quoted it.
     return [f'"{field}"' if _is_comment(field) else field for field in fields]
 
 
-def _write_rows(handle, labels, periods, columns, delimiter: str = ",") -> None:
+def _write_rows(handle, labels, periods, columns) -> None:
     """Write one row per (label, period), label-major, a block of whole labels at a time.
 
     ``labels`` are finished fields (see :func:`_csv_fields`). Each column is
@@ -442,29 +436,23 @@ def _write_rows(handle, labels, periods, columns, delimiter: str = ",") -> None:
                     cells[k] = ""
             # A float's str is its repr; each is made as its row is written.
             block.append(map(str, cells))
-        handle.writelines(delimiter.join(row) + "\r\n" for row in zip(*block))
+        handle.writelines(",".join(row) + "\r\n" for row in zip(*block))
 
 
-def emit(dataset: PanelDataset, path, delimiter: str = ",", preamble: str = "") -> None:
-    """Write a dataset back to the delimited format (inverse of :func:`ingest`).
+def emit(dataset: PanelDataset, path, preamble: str = "") -> None:
+    """Write a dataset back to the comma-separated format (inverse of :func:`ingest`).
 
     Missing cells become empty fields; observed values are written with full
     round-trip precision. ``preamble`` lines (if any) are prefixed with '#'.
-    Individual labels are quoted where they need it; number cells never do,
-    so a delimiter that can occur in a number is refused.
+    Individual labels are quoted where they need it; number cells never do.
     """
-    _check_delimiter(delimiter)
-    if delimiter in _NUMBER_CHARS:
-        raise ConfigError(f"delimiter {delimiter!r} can occur inside a number")
-    labels = _csv_fields(dataset.individuals, delimiter)
+    labels = _csv_fields(dataset.individuals)
     names = dataset.physical_names()
     with open(path, "w", encoding="utf-8", newline="") as handle:
         for line in preamble.splitlines():
             handle.write(f"# {line}\n")
-        csv.writer(handle, delimiter=delimiter).writerow(
-            [dataset.individual_label, dataset.period_label, *names])
-        _write_rows(handle, labels, dataset.periods, list(map(dataset.column, names)),
-                    delimiter)
+        csv.writer(handle).writerow([dataset.individual_label, dataset.period_label, *names])
+        _write_rows(handle, labels, dataset.periods, list(map(dataset.column, names)))
 
 
 def impute_mean(dataset: PanelDataset) -> PanelDataset:

@@ -152,7 +152,7 @@ def _minimize_stage(problem, x0, epsilon: float, config: TrainConfig):
         path.append(value)
 
     result = minimize(fun, x0, maxiter=config.max_iters_per_stage, gtol=config.grad_tol,
-                      ftol=1e-12, callback=track)
+                      callback=track)
     return result, path, accepted.data_term
 
 

@@ -23,15 +23,14 @@ def _logistic(x):
         return 1.0 / (1.0 + np.exp(-x))
 
 
-#: name -> (activation f(x, alpha), derivative f'(x, alpha)), written from x alone.
+#: name -> (activation f(x), derivative f'(x)), written from x alone.
 ACTIVATIONS = {
-    "elu": (lambda x, a: np.where(x > 0.0, x, a * np.expm1(np.minimum(x, 0.0))),
-            lambda x, a: np.where(x >= 0.0, 1.0, a * np.exp(np.minimum(x, 0.0)))),
-    "sigmoid": (lambda x, a: _logistic(x),
-                lambda x, a: _logistic(x) * (1.0 - _logistic(x))),
-    "tanh": (lambda x, a: np.tanh(x), lambda x, a: 1.0 - np.tanh(x) ** 2),
-    "softplus": (lambda x, a: np.logaddexp(0.0, x), lambda x, a: _logistic(x)),
-    "relu": (lambda x, a: np.maximum(x, 0.0), lambda x, a: (x > 0.0).astype(float)),
+    "elu": (lambda x: np.where(x > 0.0, x, np.expm1(np.minimum(x, 0.0))),
+            lambda x: np.where(x >= 0.0, 1.0, np.exp(np.minimum(x, 0.0)))),
+    "sigmoid": (_logistic, lambda x: _logistic(x) * (1.0 - _logistic(x))),
+    "tanh": (np.tanh, lambda x: 1.0 - np.tanh(x) ** 2),
+    "softplus": (lambda x: np.logaddexp(0.0, x), _logistic),
+    "relu": (lambda x: np.maximum(x, 0.0), lambda x: (x > 0.0).astype(float)),
 }
 
 
@@ -42,7 +41,7 @@ def forward_rows(params: NetworkParameters, x: np.ndarray):
     for l in range(spec.n_hidden_layers):
         z = g @ params.weights[l] + params.biases[l]
         pre.append(z)
-        g = ACTIVATIONS[spec.activation][0](z, spec.elu_alpha)
+        g = ACTIVATIONS[spec.activation][0](z)
         acts.append(g)
     return (g @ params.weights[-1])[:, 0], (pre, acts)
 
@@ -57,7 +56,7 @@ def backward_rows(params: NetworkParameters, cache, cotangent: np.ndarray) -> Ne
     grad_w[n_layers] = acts[-1].T @ cotangent[:, None]
     upstream = np.outer(cotangent, params.weights[-1][:, 0])
     for l in range(n_layers - 1, -1, -1):
-        dz = upstream * ACTIVATIONS[spec.activation][1](pre[l], spec.elu_alpha)
+        dz = upstream * ACTIVATIONS[spec.activation][1](pre[l])
         grad_w[l] = acts[l].T @ dz
         grad_b[l] = dz.sum(axis=0)
         upstream = dz @ params.weights[l].T

@@ -55,7 +55,18 @@ def test_saved_fit_predicts_what_the_fit_predicts(tmp_path_factory, seed, kind, 
     lambda d: d["fits"][0]["params"]["net"]["spec"].update(activation="swish"),
     lambda d: d["fits"][0]["params"]["net"]["weights"].pop(),
     lambda d: d.update(standardization=[1.0]),
-], ids=["no-panel", "kind", "activation", "weights", "standardization"])
+    lambda d: d.update(fits=[]),
+    lambda d: d["fits"][0]["params"]["beta"].pop(),
+    lambda d: d["fits"][0]["params"]["alpha"].append(0.0),
+    lambda d: d["fits"][0]["params"].update(net=None),
+    lambda d: d["panel"]["x_names"].append("x9"),
+    lambda d: d["config"].update(kind="linear"),
+    lambda d: d["config"].update(kind="qrnn"),
+    lambda d: d["fits"][0].update(taus=[]),
+    lambda d: d["standardization"].update(x_means=[]),
+], ids=["no-panel", "kind", "activation", "weights", "standardization", "no-fit", "beta",
+        "alpha", "no-network", "input-dim", "linear-with-network", "qrnn-with-beta",
+        "no-taus", "state-lengths"])
 def test_malformed_artifact_is_a_data_error(tmp_path, change):
     _, trained = trained_fit(0, ModelKind.PSQRNN, 1, True, False)
     path = tmp_path / "fit.json"

@@ -166,7 +166,7 @@ class TestTrain:
                     "--taus", "3", "--hidden", "3", "--seed", "1", *FAST_FLAGS])
         assert code == 0
         doc = json.loads(art.read_text())
-        assert doc["schema_version"] == 1
+        assert doc["schema_version"] == 2
         assert doc["config"]["kind"] == "psqrnn"
         assert len(doc["fits"]) == 1
         assert doc["fits"][0]["params"]["net"] is not None
@@ -446,6 +446,17 @@ class TestPredictEvaluate:
         assert run(["predict", "--artifact", str(art), "--input", str(synth_csv),
                     "--output", str(tmp_path / "p.csv")]) == 2
 
+    def test_artifact_of_another_schema_version_is_a_data_error(self, synth_csv, tmp_path,
+                                                               capsys):
+        art = self.fit_artifact(synth_csv, tmp_path)
+        document = json.loads(art.read_text())
+        document["schema_version"] = 1
+        art.write_text(json.dumps(document))
+        capsys.readouterr()
+        assert run(["predict", "--artifact", str(art), "--input", str(synth_csv),
+                    "--output", str(tmp_path / "p.csv")]) == 2
+        assert "has schema version 1, expected 2" in capsys.readouterr().err
+
     def test_noiseless_train_rows_reproduce_response(self, tmp_path):
         panel = tmp_path / "noiseless.csv"
         run(["synth", "--output", str(panel), "--seed", "2", "--n-individuals", "3",
@@ -629,6 +640,13 @@ class TestMalformedPredictions:
         code, err = self.evaluate(synth_csv, tmp_path, capsys, rows, ["--tau", "0.5"])
         assert code == 2
         assert "line 9: duplicate row for " in err and "line 7" not in err
+
+    def test_missing_file(self, synth_csv, tmp_path, capsys):
+        absent = tmp_path / "absent.csv"
+        capsys.readouterr()
+        assert run(["evaluate", "--predictions", str(absent),
+                    "--actuals", str(synth_csv)]) == 2
+        assert capsys.readouterr().err.startswith(f"data error: cannot read {absent}: ")
 
 
 class TestWritersQuoteLabels:

@@ -47,7 +47,7 @@ class TestAgainstScipy:
     def test_quadratic_reaches_the_minimizer(self):
         fun, solution = quadratic()
         x0 = np.zeros(solution.size)
-        ours = lbfgs.minimize(fun, x0, maxiter=500, gtol=1e-10, ftol=1e-12)
+        ours = lbfgs.minimize(fun, x0, maxiter=500, gtol=1e-10)
         theirs = reference(fun, x0, 500, 1e-10, 1e-12)
         assert ours.status == theirs.status == 0
         assert ours.message == theirs.message
@@ -59,7 +59,7 @@ class TestAgainstScipy:
 
     def test_linear_fit_reaches_scipys_minimizer(self):
         _, fun, x0 = linear_problem()
-        ours = lbfgs.minimize(fun, x0, maxiter=500, gtol=1e-9, ftol=1e-12)
+        ours = lbfgs.minimize(fun, x0, maxiter=500, gtol=1e-9)
         theirs = reference(fun, x0, 500, 1e-9, 1e-12)
         assert ours.status == theirs.status == 0
         assert ours.fun == pytest.approx(theirs.fun, rel=1e-10, abs=0)
@@ -69,7 +69,7 @@ class TestAgainstScipy:
     def test_first_iterate_matches(self, case):
         fun, x0 = ((quadratic()[0], np.ones(12)) if case == "quadratic"
                    else linear_problem()[1:])
-        ours = lbfgs.minimize(fun, x0, maxiter=1, gtol=1e-9, ftol=1e-12)
+        ours = lbfgs.minimize(fun, x0, maxiter=1, gtol=1e-9)
         theirs = reference(fun, x0, 1, 1e-9, 1e-12)
         assert (ours.nit, ours.nfev, ours.status) == (theirs.nit, theirs.nfev, theirs.status)
         assert ours.message == theirs.message == lbfgs.MAXITER_MESSAGE
@@ -87,7 +87,7 @@ class TestStops:
             calls.append(x)
             return fun(x)
 
-        result = lbfgs.minimize(counted, solution, maxiter=10, gtol=1e-6, ftol=1e-12)
+        result = lbfgs.minimize(counted, solution, maxiter=10, gtol=1e-6)
         assert (result.nit, result.nfev, result.status) == (0, 1, 0)
         assert result.message == lbfgs.PGTOL_MESSAGE
         assert np.array_equal(result.x, solution) and len(calls) == 1

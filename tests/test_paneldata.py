@@ -311,36 +311,24 @@ def masked_synthetic(seed, n=12, t=5, share=0.25):
 
 
 class TestEmitMatchesCellwiseOracle:
-    @pytest.mark.parametrize("delimiter, preamble", [
-        (",", '{"a": 1}\nsecond line'),
-        (";", ""),
-    ])
-    def test_same_bytes_with_masked_cells(self, tmp_path, delimiter, preamble):
+    @pytest.mark.parametrize("preamble", ['{"a": 1}\nsecond line', ""])
+    def test_same_bytes_with_masked_cells(self, tmp_path, preamble):
         ds = masked_synthetic(4)
         ds.z[0, 1, 0] = -0.0
         ds.x[2, 3, 1] = 1e-300
-        emit(ds, tmp_path / "new.csv", delimiter=delimiter, preamble=preamble)
-        emit_cellwise(ds, tmp_path / "old.csv", delimiter=delimiter, preamble=preamble)
+        emit(ds, tmp_path / "new.csv", preamble=preamble)
+        emit_cellwise(ds, tmp_path / "old.csv", preamble=preamble)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
-    @pytest.mark.parametrize("delimiter", [",", ";", "\t"])
-    def test_same_bytes_with_labels_that_need_quotes(self, tmp_path, delimiter):
+    def test_same_bytes_with_labels_that_need_quotes(self, tmp_path):
         ds = masked_synthetic(5, n=8, t=3)
         ds.individuals = ("", "a,b", "a;b", "a\tb", 'say "hi"', "two\r\nlines", " pad ", "#x")
-        emit(ds, tmp_path / "new.csv", delimiter=delimiter)
-        emit_cellwise(ds, tmp_path / "old.csv", delimiter=delimiter)
+        emit(ds, tmp_path / "new.csv")
+        emit_cellwise(ds, tmp_path / "old.csv")
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
-
-    @pytest.mark.parametrize("delimiter", [".", "-", "e", "7"])
-    def test_refuses_a_delimiter_found_in_numbers(self, tmp_path, delimiter):
-        with pytest.raises(ConfigError, match="can occur inside a number"):
-            emit(masked_synthetic(4), tmp_path / "out.csv", delimiter=delimiter)
 
     @pytest.mark.parametrize("delimiter", ["ab", ""])
     def test_delimiter_must_be_one_character_before_any_io(self, tmp_path, delimiter):
-        with pytest.raises(ConfigError, match="single character"):
-            emit(masked_synthetic(4), tmp_path / "out.csv", delimiter=delimiter)
-        assert not (tmp_path / "out.csv").exists()
         with pytest.raises(ConfigError, match="single character"):
             ingest(tmp_path / "absent.csv", TOY_SCHEMA, delimiter=delimiter)
 
@@ -384,8 +372,12 @@ class TestEmitIngestRoundTrip:
         values[mask] = np.nan
         ds = PanelDataset(labels, range(1999, 1999 + t), values[:, :, 0],
                           values[:, :, 1:1 + q], values[:, :, 1 + q:], mask)
+        # emit writes commas; the oracle writer covers ingest's other delimiters.
         delimiter = data.draw(st.sampled_from([",", ";", "\t"]))
-        emit(ds, tmp_path / "panel.csv", delimiter=delimiter, preamble='{"a": 1}')
+        if delimiter == ",":
+            emit(ds, tmp_path / "panel.csv", preamble='{"a": 1}')
+        else:
+            emit_cellwise(ds, tmp_path / "panel.csv", delimiter=delimiter, preamble='{"a": 1}')
         assert_datasets_equal(ingest(tmp_path / "panel.csv", ds.schema(), delimiter), ds)
 
 
