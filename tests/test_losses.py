@@ -126,6 +126,19 @@ class TestSmoothedPinballDeriv:
             assert abs(an - fd) <= 1e-6 * max(1.0, abs(fd))
             checked += 1
 
+    @pytest.mark.parametrize("tau", [0.1, 0.5, 0.9])
+    def test_within_two_ulp_of_the_quotient_form(self, rng, tau):
+        # side * (u / eps) inside the band, against (side * u) / eps: equal
+        # for a power-of-two eps, as every annealing threshold is, and two
+        # roundings apart at most otherwise.
+        for eps, ulps in [(0.25, 0.0), (0.37, 2.0)]:
+            u = rng.uniform(-eps, eps, 2000)
+            side = np.where(u >= 0.0, tau, 1.0 - tau)
+            got = smoothed_pinball_deriv(u, tau, eps)
+            want = side * u / eps
+            gap = np.abs(got - want)
+            assert np.all(gap <= ulps * np.spacing(np.maximum(np.abs(got), np.abs(want))))
+
     def test_continuous_across_zero(self):
         eps, tau = 0.5, 0.3
         left = smoothed_pinball_deriv(-1e-12, tau, eps)

@@ -52,6 +52,15 @@ class TestActivate:
         assert activate(x, "elu", derivative=True).tolist() == [1.0, 1.0, 1.0, 1.0, 0.0, 0.0]
         assert activate(-1.0, "elu", derivative=True) == pytest.approx(math.exp(-1), rel=1e-15)
 
+    def test_elu_derivative_equals_the_branch_form_bit_for_bit(self, rng):
+        # min(y, 0) + 1 against 1 for x >= 0 and y + 1 below, on random
+        # arrays and at the edges of both branches.
+        x = np.concatenate([rng.standard_normal(1000) * 5.0,
+                            [0.0, -0.0, 1e-320, -1e-320, 700.0, -700.0, -40.0]])
+        y = activate(x, "elu")
+        branch = np.where(x >= 0.0, 1.0, y + 1.0)
+        assert activate(x, "elu", derivative=True).tobytes() == branch.tobytes()
+
     def test_standard_forms(self):
         assert activate(0.3, "sigmoid") == pytest.approx(1 / (1 + math.exp(-0.3)))
         assert activate(0.3, "tanh") == pytest.approx(math.tanh(0.3))

@@ -311,21 +311,39 @@ def masked_synthetic(seed, n=12, t=5, share=0.25):
 
 
 class TestEmitMatchesCellwiseOracle:
-    @pytest.mark.parametrize("preamble", ['{"a": 1}\nsecond line', ""])
-    def test_same_bytes_with_masked_cells(self, tmp_path, preamble):
+    @pytest.mark.parametrize("delimiter, preamble", [
+        (",", '{"a": 1}\nsecond line'),
+        (";", ""),
+    ])
+    def test_same_bytes_with_masked_cells(self, tmp_path, delimiter, preamble):
+        # The delimiter is the one ingest reads the panel back at.
         ds = masked_synthetic(4)
         ds.z[0, 1, 0] = -0.0
         ds.x[2, 3, 1] = 1e-300
-        emit(ds, tmp_path / "new.csv", preamble=preamble)
-        emit_cellwise(ds, tmp_path / "old.csv", preamble=preamble)
-        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+        for source in (ds, self._read_back(ds, tmp_path, delimiter)):
+            emit(source, tmp_path / "new.csv", preamble=preamble)
+            emit_cellwise(source, tmp_path / "old.csv", preamble=preamble)
+            assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
-    def test_same_bytes_with_labels_that_need_quotes(self, tmp_path):
+    @pytest.mark.parametrize("delimiter", [",", ";", "\t"])
+    def test_same_bytes_with_labels_that_need_quotes(self, tmp_path, delimiter):
+        # The labels also reach emit through ingest of the oracle's file at
+        # each delimiter ingest reads, which must all read the same panel;
+        # emit writes commas either way.
         ds = masked_synthetic(5, n=8, t=3)
         ds.individuals = ("", "a,b", "a;b", "a\tb", 'say "hi"', "two\r\nlines", " pad ", "#x")
-        emit(ds, tmp_path / "new.csv")
-        emit_cellwise(ds, tmp_path / "old.csv")
-        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+        for source in (ds, self._read_back(ds, tmp_path, delimiter)):
+            emit(source, tmp_path / "new.csv")
+            emit_cellwise(source, tmp_path / "old.csv")
+            assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    @staticmethod
+    def _read_back(ds, tmp_path, delimiter):
+        emit_cellwise(ds, tmp_path / "in.csv", delimiter=delimiter)
+        emit_cellwise(ds, tmp_path / "in_commas.csv")
+        read = ingest(tmp_path / "in.csv", ds.schema(), delimiter)
+        assert_datasets_equal(read, ingest(tmp_path / "in_commas.csv", ds.schema()))
+        return read
 
     @pytest.mark.parametrize("delimiter", ["ab", ""])
     def test_delimiter_must_be_one_character_before_any_io(self, tmp_path, delimiter):
