@@ -78,6 +78,8 @@ def embedded_schema(path) -> Optional[PanelSchema]:
             first = handle.readline()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path} is not UTF-8 text: {exc.reason}") from None
     if not first.startswith("# {"):
         return None
     try:
@@ -181,6 +183,8 @@ def load(path) -> FitArtifact:
             document = json.load(handle)
     except OSError as exc:
         raise DataError(f"cannot read artifact {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise DataError(f"artifact {path} is not UTF-8 text: {exc.reason}") from None
     except json.JSONDecodeError as exc:
         raise DataError(f"artifact {path} is not valid JSON: {exc}") from None
     version = document.get("schema_version") if isinstance(document, dict) else None

@@ -235,6 +235,8 @@ def cmd_grid_search(args) -> int:
 
 
 _PREDICTION_COLUMNS = ["individual", "period", "tau", "predicted"]
+#: A predictions file read as a panel whose one value column is the prediction.
+_PREDICTIONS_SCHEMA = PanelSchema("individual", "period", "predicted", (), ())
 
 
 def cmd_predict(args) -> int:
@@ -260,69 +262,49 @@ def cmd_predict(args) -> int:
     return 0
 
 
-def _read_predictions(path: str, tau: Optional[str]) -> dict:
-    """(individual, period) -> predicted value over the rows labelled ``tau``.
+def _read_predictions(path: str, tau: Optional[str]):
+    """Individuals in order of first sight, sorted periods and the (N, T) predictions of ``tau``.
 
-    A malformed row fails with its physical line number, comment lines
-    included.
+    The file is read in blocks, as a panel file is. Rows of other levels are
+    only checked for their field count.
     """
-    data = {}
-    taus_seen = set()
-    try:
-        handle = open(path, encoding="utf-8", newline="")
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from None
-    with handle:
-        lines = paneldata._NumberedLines(handle)
-        reader = csv.reader(lines)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty predictions file") from None
-        if header != _PREDICTION_COLUMNS:
-            raise DataError(f"{path}: header {header} != {_PREDICTION_COLUMNS}")
-        for row in reader:
-            if not row:
-                continue
-            line = lines.number
-            if len(row) != len(_PREDICTION_COLUMNS):
-                raise DataError(f"{path}: line {line}: {len(row)} fields, header has "
-                                f"{len(_PREDICTION_COLUMNS)}")
-            individual, period, tau_label, value = row
-            try:
-                key = (individual, paneldata._parse_period(period, line, "period"))
-                value, blank = paneldata._parse_cell(value, line, "predicted")
-            except DataError as exc:
-                raise DataError(f"{path}: {exc}") from None
-            if blank:
-                raise DataError(f"{path}: line {line}, column 'predicted': missing value")
-            taus_seen.add(tau_label)
-            if tau is not None and tau_label != tau:
-                continue
-            if tau is None and tau_label != "" and len(taus_seen - {""}) > 1:
-                raise DataError(
-                    f"{path} holds several quantile levels {sorted(taus_seen)}; "
-                    "pass --tau to choose one"
-                )
-            if key in data:
-                raise DataError(f"{path}: line {line}: duplicate row for {key}")
-            data[key] = value
-    if not data:
+    width = len(_PREDICTION_COLUMNS)
+
+    def select(rows):
+        """Rows labelled ``tau``, and any row of the wrong width so that its error shows.
+
+        Without ``tau`` every row passes, and a second quantile level is an error.
+        """
+        if tau is not None:
+            yield from (row for row in rows if len(row) != width or row[2] == tau)
+            return
+        levels = set()
+        for row in rows:
+            if len(row) == width and row[2] not in levels and "".join(row).strip():
+                levels.add(row[2])
+                if len(levels - {""}) > 1:
+                    raise DataError(f"{path} holds several quantile levels "
+                                    f"{sorted(levels)}; pass --tau to choose one")
+            yield row
+
+    individuals, periods, blocks, gaps = paneldata._read_cells(
+        path, ",", _PREDICTIONS_SCHEMA, _PREDICTION_COLUMNS, select, missing_ok=False,
+        where=f"{path}: ", order=list)
+    if not individuals:
         raise DataError(f"{path}: no prediction rows matched tau={tau!r}")
-    return data
+    t = len(periods)
+    if gaps.size:
+        missing = [(individuals[k // t], periods[k % t]) for k in gaps[:10].tolist()]
+        raise DataError(f"predictions are not a full grid; missing {missing}")
+    pred = np.empty(len(individuals) * t)
+    for cell, values, _ in blocks:
+        pred[cell] = values[:, 0]
+    return individuals, periods, pred.reshape(-1, t)
 
 
 def cmd_evaluate(args) -> int:
-    predictions = _read_predictions(args.predictions, args.tau)
+    individuals, periods, pred = _read_predictions(args.predictions, args.tau)
     actuals_ds = _load_dataset(args.actuals, args)
-    individuals = list(dict.fromkeys(individual for individual, _ in predictions))
-    periods = sorted({period for _, period in predictions})
-    missing_pairs = [
-        (ind, per) for ind in individuals for per in periods
-        if (ind, per) not in predictions
-    ]
-    if missing_pairs:
-        raise DataError(f"predictions are not a full grid; missing {missing_pairs[:10]}")
     row_of = {ind: i for i, ind in enumerate(actuals_ds.individuals)}
     col_of = {per: j for j, per in enumerate(actuals_ds.periods)}
     unknown = [i for i in individuals if i not in row_of]
@@ -341,7 +323,6 @@ def cmd_evaluate(args) -> int:
         a, b = np.argwhere(act == 0.0)[0]
         raise DataError(f"actual response is zero for ({individuals[a]}, {periods[b]}); "
                         "MAPE is undefined")
-    pred = np.array([[predictions[(ind, per)] for per in periods] for ind in individuals])
     rep = metrics.report(act, pred)
     config = {
         "command": "evaluate", "predictions": args.predictions, "actuals": args.actuals,

@@ -217,65 +217,14 @@ def _parse_period(text: str, line: int, column: str) -> int:
 _is_comment = operator.methodcaller("startswith", "#")
 
 
-class _NumberedLines:
-    """The lines of a file that are not comments, counting physical lines.
-
-    ``number`` is the physical line number of the last line handed out, so
-    after a csv reader yields a record it is the line the record ends on.
-    """
-
-    def __init__(self, handle):
-        self.handle = handle
-        self.number = 0
-
-    def __iter__(self):
-        for line in self.handle:
-            self.number += 1
-            if not _is_comment(line):
-                yield line
-
-
-def _first_row_error(path, delimiter: str, schema: PanelSchema,
-                     index: dict, width: int, value_cols: list) -> DataError:
-    """Re-read the file row by row and return the first malformed row's error.
-
-    Only called once the block pass of :func:`ingest` has found a problem.
-    It names the first malformed row of the file by physical line and
-    column; that row may lie before the block that showed the problem, as a
-    duplicate does.
-    """
-    seen = set()
-    with open(path, encoding="utf-8", newline="") as handle:
-        lines = _NumberedLines(handle)
-        reader = csv.reader(lines, delimiter=delimiter)
-        next(reader)
-        try:
-            for row in reader:
-                line = lines.number
-                if not "".join(row).strip():
-                    continue
-                if len(row) != width:
-                    return DataError(f"line {line}: {len(row)} fields, header has {width}")
-                period = _parse_period(row[index[schema.period]], line, schema.period)
-                key = (row[index[schema.individual]].strip(), period)
-                if key in seen:
-                    return DataError(f"line {line}: duplicate row for {key}")
-                seen.add(key)
-                for name in value_cols:
-                    _parse_cell(row[index[name]], line, name)
-        except DataError as exc:
-            return exc
-    raise AssertionError(f"{path}: no malformed row found")
-
-
 def _code(seen: dict, keys) -> np.ndarray:
     """Each key's number in order of first sight; ``seen`` gains the new keys."""
     return np.fromiter((seen.setdefault(key, len(seen)) for key in keys), np.intp)
 
 
-def _ranks(seen: dict) -> tuple[list, np.ndarray]:
-    """The keys of ``seen`` sorted, and each key's sorted position by its number."""
-    distinct = sorted(seen)
+def _ranks(seen: dict, order=sorted) -> tuple[list, np.ndarray]:
+    """The keys of ``seen`` in ``order``, and each key's position there by its number."""
+    distinct = order(seen)
     rank = np.empty(len(distinct), np.intp)
     rank[[seen[key] for key in distinct]] = np.arange(len(distinct))
     return distinct, rank
@@ -315,45 +264,88 @@ def _parse_block(reader, schema: PanelSchema, index: dict, width: int, value_col
     return row_i, row_t, values, missing
 
 
-def ingest(path, schema: PanelSchema = DEFAULT_SCHEMA, delimiter: str = ",") -> PanelDataset:
-    """Read a delimited panel file into a balanced dataset.
+def _read_cells(path, delimiter: str, schema: PanelSchema, header=None, select=iter,
+                missing_ok: bool = True, where: str = "", order=sorted):
+    """Read a panel file ``_BLOCK_ROWS`` rows at a time and place each row in its grid cell.
 
-    The file needs a header row with every schema column. Missing cells are
-    empty or "NA". Rows are sorted by (individual, period); duplicated or
-    absent (individual, period) rows are rejected with their location.
-    Lines starting with '#' are ignored; error messages give physical line
-    numbers, comment lines included. The rows are parsed ``_BLOCK_ROWS`` at
-    a time, so memory holds the arrays and one block of cell strings.
+    The header names each schema column once (and equals ``header`` if given);
+    ``select`` filters the rows after it. A missing value is malformed unless
+    ``missing_ok``. A malformed or repeated row raises the first malformed
+    row's error, prefixed with ``where``. Returns the individuals in ``order``
+    (``list`` keeps first sight), the sorted periods, a (cell, values,
+    missing) per block with cell each row's flat index in the (N, T) grid,
+    and the empty cells' flat indices.
     """
-    if not isinstance(delimiter, str) or len(delimiter) != 1:
-        raise ConfigError(f"delimiter must be a single character, got {delimiter!r}")
     value_cols = [schema.response, *schema.covariate_names()]
+    columns = [schema.individual, schema.period, *value_cols]
     labels, periods, blocks = {}, {}, []
-    with open(path, encoding="utf-8", newline="") as handle:
-        reader = csv.reader(itertools.filterfalse(_is_comment, handle), delimiter=delimiter)
-        header = next(reader, None)
-        if header is None:
-            raise DataError(f"{path}: empty file")
-        header = [h.strip() for h in header]
-        missing_cols = [c for c in (schema.individual, schema.period, *value_cols)
-                        if c not in header]
-        if missing_cols:
-            raise DataError(f"{path}: header lacks required columns {missing_cols}")
-        index = {name: header.index(name) for name in header}
 
-        def malformed() -> DataError:
-            return _first_row_error(path, delimiter, schema, index, len(header), value_cols)
+    def malformed() -> DataError:
+        """Re-read the rows one by one, through ``select`` again, for the first bad one.
 
-        try:
-            while (block := _parse_block(reader, schema, index, len(header), value_cols,
-                                         labels, periods)) is not None:
-                blocks.append(block)
-        except ValueError:
-            raise malformed() from None
-    if not labels:
-        raise DataError(f"{path}: no data rows")
+        It may lie before the block that showed the problem, as a duplicate
+        does. Its line number is physical: comment lines count.
+        """
+        seen, line = set(), 0
 
-    individuals, rank_i = _ranks(labels)
+        def uncommented(handle):  # ``line``: the physical line last read
+            nonlocal line
+            for line, text in enumerate(handle, start=1):
+                if not _is_comment(text):
+                    yield text
+
+        with open(path, encoding="utf-8", newline="") as handle:
+            rows = csv.reader(uncommented(handle), delimiter=delimiter)
+            next(rows)
+            for row in select(rows):
+                if not "".join(row).strip():
+                    continue
+                try:
+                    if len(row) != len(names):
+                        raise DataError(f"line {line}: {len(row)} fields, header has {len(names)}")
+                    period = _parse_period(row[index[schema.period]], line, schema.period)
+                    key = (row[index[schema.individual]].strip(), period)
+                    if key in seen:
+                        raise DataError(f"line {line}: duplicate row for {key}")
+                    seen.add(key)
+                    for name in value_cols:
+                        if _parse_cell(row[index[name]], line, name)[1] and not missing_ok:
+                            raise DataError(f"line {line}, column {name!r}: missing value")
+                except DataError as exc:
+                    return DataError(f"{where}{exc}")
+        raise AssertionError(f"{path}: no malformed row found")
+
+    try:
+        with open(path, encoding="utf-8", newline="") as handle:
+            reader = csv.reader(itertools.filterfalse(_is_comment, handle), delimiter=delimiter)
+            names = next(reader, None)
+            if names is None:
+                raise DataError(f"{path}: empty file")
+            if header is not None and names != header:
+                raise DataError(f"{path}: header {names} != {header}")
+            names = [name.strip() for name in names]
+            lacking = [c for c in columns if c not in names]
+            if lacking:
+                raise DataError(f"{path}: header lacks required columns {lacking}")
+            repeated = [c for c in columns if names.count(c) > 1]
+            if repeated:
+                raise DataError(f"{path}: header repeats required columns {repeated}")
+            index = {name: names.index(name) for name in names}
+            rows = select(reader)
+            try:
+                while (block := _parse_block(rows, schema, index, len(names), value_cols,
+                                             labels, periods)) is not None:
+                    if not missing_ok and block[3].any():
+                        raise ValueError("a value is missing")
+                    blocks.append(block)
+            except ValueError:  # a UnicodeDecodeError too, which the re-read raises again
+                raise malformed() from None
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path} is not UTF-8 text: {exc.reason}") from None
+
+    individuals, rank_i = _ranks(labels, order)
     period_values, rank_t = _ranks(periods)
     n, t = len(individuals), len(period_values)
     blocks = [(rank_i[row_i] * t + rank_t[row_t], values, missing)
@@ -361,15 +353,35 @@ def ingest(path, schema: PanelSchema = DEFAULT_SCHEMA, delimiter: str = ",") -> 
     counts = np.zeros(n * t, np.intp)
     for cell, _, _ in blocks:
         counts += np.bincount(cell, minlength=n * t)
-    if counts.max() > 1:
+    if counts.max(initial=0) > 1:
         raise malformed()
-    gaps = np.flatnonzero(counts == 0)
+    return individuals, period_values, blocks, np.flatnonzero(counts == 0)
+
+
+def ingest(path, schema: PanelSchema = DEFAULT_SCHEMA, delimiter: str = ",") -> PanelDataset:
+    """Read a delimited panel file into a balanced dataset.
+
+    The file needs a header row that names every schema column once. Missing
+    cells are empty or "NA". Rows are sorted by (individual, period);
+    duplicated or absent (individual, period) rows are rejected with their
+    location. Lines starting with '#' are ignored; error messages give
+    physical line numbers, comment lines included. The rows are parsed
+    ``_BLOCK_ROWS`` at a time, so memory holds the arrays and one block of
+    cell strings. An unreadable file, or one that is not UTF-8, is a DataError.
+    """
+    if not isinstance(delimiter, str) or len(delimiter) != 1:
+        raise ConfigError(f"delimiter must be a single character, got {delimiter!r}")
+    individuals, period_values, blocks, gaps = _read_cells(path, delimiter, schema)
+    if not individuals:
+        raise DataError(f"{path}: no data rows")
+    n, t = len(individuals), len(period_values)
     if gaps.size:
         shown = ", ".join(str((individuals[k // t], period_values[k % t]))
                           for k in gaps[:10].tolist())
         raise DataError(f"unbalanced panel: {gaps.size} missing rows, e.g. {shown}")
 
     # Every (individual, period) cell holds exactly one row: place each block.
+    value_cols = [schema.response, *schema.covariate_names()]
     z_cols = [value_cols.index(name) for name in schema.parametric]
     x_cols = [value_cols.index(name) for name in schema.network]
     q, p = len(z_cols), len(x_cols)
@@ -638,7 +650,6 @@ def materialize_split(dataset: PanelDataset, split: ScenarioSplit,
     time_pairs = split.train_time_pairs() if subset == "train" else split.test_time_pairs()
     n, t = dataset.n_individuals, dataset.n_periods
     h = len(time_pairs)
-    feature_times = [tf for tf, _ in time_pairs]
     target_times = [tt for _, tt in time_pairs]
     period_labels = tuple(
         dataset.periods[tt] if tt < t else dataset.periods[-1] + (tt - t + 1)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -60,3 +62,12 @@ def assert_datasets_equal(a: PanelDataset, b: PanelDataset):
     assert np.array_equal(a.z, b.z, equal_nan=True)
     assert np.array_equal(a.x, b.x, equal_nan=True)
     assert np.array_equal(a.missing_mask, b.missing_mask)
+
+
+def traced_peak(call):
+    """call()'s result and the peak of the memory it allocated, its result included."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -1,7 +1,7 @@
-"""Row-at-a-time reference versions of ``paneldata.ingest``, ``emit`` and
-``impute_mean``.
+"""Row-at-a-time reference versions of ``paneldata.ingest``, ``emit``,
+``impute_mean`` and the predictions read of ``psqrnn evaluate``.
 
-These are the original per-row parser, per-cell writer and per-individual
+These are the original per-row parsers, per-cell writer and per-individual
 imputation. The package works on panels a column at a time; the tests hold
 these as oracles that the columnar code must match: the same dataset, the
 same error message and the same output bytes, and imputed means equal up to
@@ -35,6 +35,24 @@ def _parse_cell(text: str, line: int, column: str) -> tuple[float, bool]:
     return value, False
 
 
+def _parse_period(text: str, line: int, column: str) -> int:
+    text = text.strip()
+    try:
+        return int(text)
+    except ValueError:
+        raise DataError(
+            f"line {line}, column {column!r}: cannot parse {text!r} as an integer period"
+        ) from None
+
+
+def _uncommented(handle, physical: list):
+    """The lines of ``handle`` that are not comments; ``physical`` gains their numbers."""
+    for number, line in enumerate(handle, start=1):
+        if not line.startswith("#"):
+            physical.append(number)
+            yield line
+
+
 def ingest_rowwise(path, schema: PanelSchema = DEFAULT_SCHEMA,
                    delimiter: str = ",") -> PanelDataset:
     """Reference parser: one dict per row, then an N*T fill loop.
@@ -44,15 +62,8 @@ def ingest_rowwise(path, schema: PanelSchema = DEFAULT_SCHEMA,
     rows = {}
     value_cols = [schema.response, *schema.covariate_names()]
     physical = []
-
-    def uncommented(handle):
-        for number, line in enumerate(handle, start=1):
-            if not line.startswith("#"):
-                physical.append(number)
-                yield line
-
     with open(path, encoding="utf-8", newline="") as handle:
-        reader = csv.reader(uncommented(handle), delimiter=delimiter)
+        reader = csv.reader(_uncommented(handle, physical), delimiter=delimiter)
         try:
             header = next(reader)
         except StopIteration:
@@ -62,6 +73,10 @@ def ingest_rowwise(path, schema: PanelSchema = DEFAULT_SCHEMA,
                         if c not in header]
         if missing_cols:
             raise DataError(f"{path}: header lacks required columns {missing_cols}")
+        repeated = [c for c in (schema.individual, schema.period, *value_cols)
+                    if header.count(c) > 1]
+        if repeated:
+            raise DataError(f"{path}: header repeats required columns {repeated}")
         index = {name: header.index(name) for name in header}
         for row in reader:
             line_no = physical[-1]
@@ -72,15 +87,7 @@ def ingest_rowwise(path, schema: PanelSchema = DEFAULT_SCHEMA,
                     f"line {line_no}: {len(row)} fields, header has {len(header)}"
                 )
             ind = row[index[schema.individual]].strip()
-            period_text = row[index[schema.period]].strip()
-            try:
-                period = int(period_text)
-            except ValueError:
-                raise DataError(
-                    f"line {line_no}, column {schema.period!r}: "
-                    f"cannot parse {period_text!r} as an integer period"
-                ) from None
-            key = (ind, period)
+            key = (ind, _parse_period(row[index[schema.period]], line_no, schema.period))
             if key in rows:
                 raise DataError(f"line {line_no}: duplicate row for {key}")
             rows[key] = {
@@ -115,6 +122,65 @@ def ingest_rowwise(path, schema: PanelSchema = DEFAULT_SCHEMA,
         response_name=schema.response, z_names=schema.parametric, x_names=schema.network,
         individual_label=schema.individual, period_label=schema.period,
     )
+
+
+PREDICTION_COLUMNS = ["individual", "period", "tau", "predicted"]
+
+
+def read_predictions_rowwise(path, tau) -> dict:
+    """Reference predictions read: (individual, period) -> predicted over the rows of ``tau``.
+
+    The row-by-row dict ``psqrnn evaluate`` read before it parsed blocks,
+    with the two rules it took from ingest: labels are stripped, and rows
+    whose cells are all blank are skipped. A malformed row fails with its
+    physical line number, comment lines included. On a file without faults
+    it agrees with the block read; on a faulty one it also judges the rows
+    of other levels, and checks a row's prediction before its repetition.
+    """
+    data = {}
+    taus_seen = set()
+    physical = []
+    try:
+        handle = open(path, encoding="utf-8", newline="")
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from None
+    with handle:
+        reader = csv.reader(_uncommented(handle, physical))
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DataError(f"{path}: empty predictions file") from None
+        if header != PREDICTION_COLUMNS:
+            raise DataError(f"{path}: header {header} != {PREDICTION_COLUMNS}")
+        for row in reader:
+            if all(not cell.strip() for cell in row):
+                continue
+            line = physical[-1]
+            if len(row) != len(PREDICTION_COLUMNS):
+                raise DataError(f"{path}: line {line}: {len(row)} fields, header has "
+                                f"{len(PREDICTION_COLUMNS)}")
+            individual, period, tau_label, value = row
+            try:
+                key = (individual.strip(), _parse_period(period, line, "period"))
+                value, blank = _parse_cell(value, line, "predicted")
+            except DataError as exc:
+                raise DataError(f"{path}: {exc}") from None
+            if blank:
+                raise DataError(f"{path}: line {line}, column 'predicted': missing value")
+            taus_seen.add(tau_label)
+            if tau is not None and tau_label != tau:
+                continue
+            if tau is None and tau_label != "" and len(taus_seen - {""}) > 1:
+                raise DataError(
+                    f"{path} holds several quantile levels {sorted(taus_seen)}; "
+                    "pass --tau to choose one"
+                )
+            if key in data:
+                raise DataError(f"{path}: line {line}: duplicate row for {key}")
+            data[key] = value
+    if not data:
+        raise DataError(f"{path}: no prediction rows matched tau={tau!r}")
+    return data
 
 
 def emit_cellwise(dataset: PanelDataset, path, delimiter: str = ",",

@@ -8,12 +8,16 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from psqrnn import cli
+from conftest import traced_peak
+from panel_oracle import read_predictions_rowwise
+from psqrnn import artifact, cli
 from psqrnn.artifact import embedded_schema
 from psqrnn.losses import TauGrid
 from psqrnn.model import ModelKind, PenaltyConfig
-from psqrnn.paneldata import SyntheticConfig, emit, generate_synthetic
+from psqrnn.paneldata import PanelDataset, SyntheticConfig, emit, generate_synthetic
 from psqrnn.pipeline import evaluate_split, prepare_scenario, train_model
 from psqrnn.trainer import AnnealSchedule, TrainConfig
 
@@ -151,6 +155,14 @@ class TestIngest:
         err = capsys.readouterr().err
         assert err.startswith("error: delimiter must be a single character")
         assert "Traceback" not in err
+
+    def test_header_naming_a_schema_column_twice(self, tmp_path, capsys):
+        path = tmp_path / "panel.csv"
+        path.write_text("province,year,EC,EC,GDP\nA,2000,1,2,3\nA,2001,4,5,6\n")
+        capsys.readouterr()
+        assert run(["ingest", "--input", str(path), "--response", "EC",
+                    "--parametric", "GDP", "--network", "GDP"]) == 2
+        assert "header repeats required columns ['EC']" in capsys.readouterr().err
 
     def test_canonical_output_reingestable(self, synth_csv, tmp_path, capsys):
         out = tmp_path / "canonical.csv"
@@ -647,6 +659,174 @@ class TestMalformedPredictions:
         assert run(["evaluate", "--predictions", str(absent),
                     "--actuals", str(synth_csv)]) == 2
         assert capsys.readouterr().err.startswith(f"data error: cannot read {absent}: ")
+
+
+@pytest.mark.parametrize("value", ["", " NA "])
+def test_missing_prediction_names_its_line(tmp_path, capsys, value):
+    argv = TestPredictEvaluate.evaluate_2x2(tmp_path, [[100.0, 200.0], [50.0, 80.0]])
+    pred = tmp_path / "pred.csv"
+    pred.write_text(pred.read_text().replace(",180.0", f",{value}"))
+    capsys.readouterr()
+    assert run(argv) == 2
+    assert f"{pred}: line 3, column 'predicted': missing value" in capsys.readouterr().err
+
+
+class TestPredictionsLikeIngest:
+    """Labels and blank rows of a predictions file are read as ingest reads a panel's."""
+
+    def test_padded_label_matches_actuals(self, tmp_path):
+        argv = TestPredictEvaluate.evaluate_2x2(tmp_path, [[100.0, 200.0], [50.0, 80.0]])
+        pred = tmp_path / "pred.csv"
+        pred.write_text(pred.read_text().replace("\na,", '\n a ,').replace("\nb,", '\n"b ",'))
+        report = tmp_path / "report.json"
+        assert run([*argv, "--output", str(report)]) == 0
+        assert json.loads(report.read_text())["individuals"] == ["a", "b"]
+
+    def test_whitespace_only_row_is_skipped(self, tmp_path, capsys):
+        argv = TestPredictEvaluate.evaluate_2x2(tmp_path, [[100.0, 200.0], [50.0, 80.0]])
+        code, status = run_json(argv, capsys)
+        pred = tmp_path / "pred.csv"
+        lines = pred.read_text().splitlines()
+        pred.write_text("\n".join([*lines[:3], "   ", "\t", " , , , ", *lines[3:]]) + "\n")
+        assert code == 0 and run_json(argv, capsys) == (0, status)
+
+
+#: Labels that need quotes in a CSV row: commas, quotes, line breaks and a
+#: leading '#'. None has a line that starts with '#', which a reader skips.
+QUOTED_LABELS = st.text(st.sampled_from(list('ab,"#\n ')), min_size=1, max_size=4).map(
+    str.strip).filter(lambda s: s and "\n#" not in s)
+
+
+def csv_field(text: str, quote: bool) -> str:
+    if quote or any(c in text for c in ',"\n') or text.startswith("#"):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+@st.composite
+def predictions_case(draw):
+    """An actuals panel, and the lines of a predictions file for some of its cells.
+
+    The chosen level's rows fill a grid of the panel's individuals and
+    periods. Rows of other levels ride along, and the rows come shuffled
+    among comment lines, blank and whitespace-only rows, with padded labels
+    that are quoted where they need it or at random. Returns the panel, the
+    lines and the --tau argument (None where the file holds one level).
+    """
+    labels = draw(st.lists(QUOTED_LABELS, min_size=1, max_size=4, unique=True))
+    periods = tuple(range(2000, 2000 + draw(st.integers(1, 4))))
+    n, t = len(labels), len(periods)
+    panel = PanelDataset(labels, periods, 1.0 + np.arange(n * t).reshape(n, t),
+                         np.zeros((n, t, 0)), np.zeros((n, t, 0)), np.zeros((n, t, 1), bool))
+    chosen = draw(st.sampled_from(["", "0.5"]))
+    others = sorted(draw(st.sets(st.sampled_from(["0.2", "0.8"]))))
+    tau = chosen if others or draw(st.booleans()) else None
+    individuals = draw(st.lists(st.sampled_from(labels), min_size=1, unique=True))
+    grid = draw(st.lists(st.sampled_from(periods), min_size=1, unique=True))
+    cells = [((ind, per), chosen) for ind in individuals for per in grid]
+    for level in others:
+        cells += [(cell, level) for cell in draw(st.lists(
+            st.sampled_from([(i, p) for i in labels for p in periods]), unique=True))]
+    pad = st.sampled_from(["", " ", "  "])
+    lines = []
+    for (ind, per), level in draw(st.permutations(cells)):
+        label = csv_field(draw(pad) + ind + draw(pad), draw(st.booleans()))
+        value = repr(draw(st.floats(1e-3, 1e6)))
+        lines.append(",".join([label, draw(pad) + str(per) + draw(pad), level,
+                               draw(pad) + value + draw(pad)]))
+    filler = st.sampled_from(["# a comment, with commas", '#"quoted', "", "   ", "\t",
+                              ",,,", " , , , "])
+    for _ in range(draw(st.integers(0, 4))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(filler))
+    return panel, ["# {}", "individual,period,tau,predicted", *lines], tau
+
+
+class TestEvaluateMatchesRowwiseOracle:
+    """evaluate writes the same report and series from the block read as from the oracle's dict."""
+
+    @staticmethod
+    def oracle_read(path, tau):
+        data = read_predictions_rowwise(path, tau)
+        individuals = list(dict.fromkeys(individual for individual, _ in data))
+        periods = sorted({period for _, period in data})
+        return individuals, periods, np.array(
+            [[data[(ind, per)] for per in periods] for ind in individuals])
+
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=predictions_case())
+    def test_same_report_and_series(self, tmp_path, monkeypatch, case):
+        panel, lines, tau = case
+        actuals, pred = tmp_path / "actuals.csv", tmp_path / "pred.csv"
+        artifact.write_panel(panel, actuals, "synth", {})
+        pred.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        report, series = tmp_path / "report.json", tmp_path / "series.csv"
+        argv = ["evaluate", "--predictions", str(pred), "--actuals", str(actuals),
+                "--output", str(report), "--series-output", str(series),
+                *([] if tau is None else ["--tau", tau])]
+        outputs = []
+        for reader in (cli._read_predictions, self.oracle_read):
+            with monkeypatch.context() as patch:
+                patch.setattr(cli, "_read_predictions", reader)
+                assert run(argv) == 0
+            outputs.append((report.read_bytes(), series.read_bytes()))
+        assert outputs[0] == outputs[1]
+
+
+class TestPredictionsMemory:
+    """evaluate reads a predictions file a block at a time, not into a dict of its rows."""
+
+    def test_peak_of_a_35k_row_read(self, tmp_path):
+        values = np.random.default_rng(7).uniform(1.0, 100.0, (1000, 35))
+        path = tmp_path / "pred.csv"
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write('# {"command": "predict"}\nindividual,period,tau,predicted\n')
+            for i, row in enumerate(values.tolist()):
+                handle.writelines(f"P{i},{2000 + j},,{value!r}\n"
+                                  for j, value in enumerate(row))
+        result, peak = traced_peak(lambda: cli._read_predictions(str(path), None))
+        # 11x the 0.27 MiB of the values as float64; a dict of the rows took 6.6 MiB.
+        assert peak <= 3 * 2 ** 20
+        individuals, periods, pred = result
+        assert individuals[:2] == ["P0", "P1"] and periods == list(range(2000, 2035))
+        assert np.array_equal(pred, values)
+
+
+class TestNotUtf8:
+    """A file that does not decode as UTF-8 is a data error naming it (exit 2)."""
+
+    @staticmethod
+    def spoil(path, line):
+        """Start ``line`` (0-based) of ``path`` with a Latin-1 e-acute, which is not UTF-8."""
+        lines = path.read_bytes().split(b"\n")
+        lines[line] = b"\xe9" + lines[line]
+        path.write_bytes(b"\n".join(lines))
+
+    @pytest.mark.parametrize("line", [0, -2], ids=["preamble", "last-data-row"])
+    def test_ingest(self, tmp_path, capsys, line):
+        # 600 rows: the last one lies beyond what the preamble's read decodes.
+        path = tmp_path / "panel.csv"
+        assert run(["synth", "--output", str(path), "--n-individuals", "30"]) == 0
+        self.spoil(path, line)
+        capsys.readouterr()
+        assert run(["ingest", "--input", str(path)]) == 2
+        assert capsys.readouterr().err == (f"data error: {path} is not UTF-8 text: "
+                                           "invalid continuation byte\n")
+
+    def test_predictions_and_artifact(self, synth_csv, tmp_path, capsys):
+        art, pred = tmp_path / "fit.json", tmp_path / "p.csv"
+        assert run(["train", "--input", str(synth_csv), "--output", str(art), "--kind", "linear",
+                    "--restarts", "1", "--max-iters", "2"]) == 0
+        assert run(["predict", "--artifact", str(art), "--input", str(synth_csv),
+                    "--output", str(pred)]) == 0
+        self.spoil(pred, 3)
+        capsys.readouterr()
+        assert run(["evaluate", "--predictions", str(pred), "--actuals", str(synth_csv)]) == 2
+        assert f"data error: {pred} is not UTF-8 text" in capsys.readouterr().err
+        self.spoil(art, 2)
+        assert run(["predict", "--artifact", str(art), "--input", str(synth_csv),
+                    "--output", str(pred)]) == 2
+        assert f"data error: artifact {art} is not UTF-8 text" in capsys.readouterr().err
 
 
 class TestWritersQuoteLabels:

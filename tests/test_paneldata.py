@@ -1,12 +1,10 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from conftest import assert_datasets_equal, make_panel
+from conftest import assert_datasets_equal, make_panel, traced_peak
 from panel_oracle import emit_cellwise, impute_mean_rowwise, ingest_rowwise
 from psqrnn import paneldata
 from psqrnn.errors import ConfigError, DataError
@@ -102,6 +100,11 @@ class TestIngest:
                       header="province,year,EC,GDP")
         with pytest.raises(DataError, match="AAT"):
             ingest(f, TOY_SCHEMA)
+
+    def test_unused_repeated_column_allowed(self, tmp_path):
+        f = write_toy(tmp_path / "toy.csv", ["Beijing,1999,100,50,12.5,x,y"],
+                      header="province,year,EC,GDP,AAT,note,note")
+        assert ingest(f, TOY_SCHEMA).y[0, 0] == 100.0
 
     def test_non_consecutive_years_rejected(self, tmp_path):
         f = write_toy(tmp_path / "toy.csv", [
@@ -243,6 +246,8 @@ class TestIngestMatchesRowwiseOracle:
         ("# only a comment\n", "empty file"),
         ("province,year,EC,GDP\n", "header lacks required columns ['AAT']"),
         ("province,year,EC,GDP,AAT\n\n", "no data rows"),
+        ("province,year,EC,GDP,AAT,EC\nA,2000,1,2,3,4\n",
+         "header repeats required columns ['EC']"),
     ])
     def test_file_level_errors(self, tmp_path, text, message):
         path = tmp_path / "panel.csv"
@@ -402,15 +407,6 @@ class TestEmitIngestRoundTrip:
 @pytest.mark.usefixtures("small_blocks")
 class TestEmitIngestRoundTripInSmallBlocks(TestEmitIngestRoundTrip):
     """The round trip with rows read and written 1 or 3 at a time."""
-
-
-def traced_peak(call):
-    """call()'s result and the peak of the memory it allocated, its result included."""
-    tracemalloc.start()
-    try:
-        return call(), tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 class TestBlockMemory:
