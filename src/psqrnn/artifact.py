@@ -58,8 +58,9 @@ def dump_json(document: dict, indent: Optional[int] = 2) -> str:
 
 
 def write_json(path, document: dict) -> None:
+    """Write :func:`dump_json`'s text as it is encoded, never holding it as one string."""
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(dump_json(document))
+        json.dump(_jsonify(document), handle, indent=2, sort_keys=True, allow_nan=False)
         handle.write("\n")
 
 
@@ -72,7 +73,11 @@ def write_panel(dataset: PanelDataset, path, command: str, config: dict) -> None
 
 
 def embedded_schema(path) -> Optional[PanelSchema]:
-    """The schema in the '# {json}' preamble of a panel CSV this tool wrote, if any."""
+    """The schema in the '# {json}' preamble of a panel CSV this tool wrote, if any.
+
+    A first line that starts with '# {' but is not valid JSON is a damaged
+    preamble, and a DataError.
+    """
     try:
         with open(path, encoding="utf-8") as handle:
             first = handle.readline()
@@ -84,8 +89,9 @@ def embedded_schema(path) -> Optional[PanelSchema]:
         return None
     try:
         embedded = json.loads(first[2:])
-    except json.JSONDecodeError:
-        return None
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path}: line 1: the preamble is not valid JSON: {exc.msg} "
+                        f"at column {exc.colno + 2}") from None
     if "schema" not in embedded:
         return None
     try:

@@ -243,8 +243,7 @@ def cmd_predict(args) -> int:
     fitted = artifact.load(args.artifact)
     dataset = _load_dataset(args.input, args)
     scenario = args.scenario if args.scenario else fitted.scenario
-    prepared = pipeline.prepare_scenario(dataset, scenario, standardize=False)
-    panel = prepared.train if args.which == "train" else prepared.test
+    _, (panel,) = pipeline._split_panels(dataset, scenario, (args.which,))
     predictions = artifact.predict(fitted, panel)
     labels = paneldata._csv_fields(panel.individuals)
     with open(args.output, "w", encoding="utf-8", newline="") as handle:
@@ -295,7 +294,7 @@ def _read_predictions(path: str, tau: Optional[str]):
     t = len(periods)
     if gaps.size:
         missing = [(individuals[k // t], periods[k % t]) for k in gaps[:10].tolist()]
-        raise DataError(f"predictions are not a full grid; missing {missing}")
+        raise DataError(f"{path}: predictions are not a full grid; missing {missing}")
     pred = np.empty(len(individuals) * t)
     for cell, values, _ in blocks:
         pred[cell] = values[:, 0]

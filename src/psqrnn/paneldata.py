@@ -44,7 +44,7 @@ _MISSING_TOKENS = ("", "NA")
 _MISSING_FILL = dict.fromkeys(_MISSING_TOKENS, "nan")
 #: Rows parsed or written at a time: a panel file is held in memory as its
 #: arrays plus one block of cell strings, never as all of its strings.
-_BLOCK_ROWS = 4096
+_BLOCK_ROWS = 1024
 
 #: Forecast horizon and feature lag of the canonical split protocols.
 HORIZON = 5
@@ -467,6 +467,29 @@ def emit(dataset: PanelDataset, path, preamble: str = "") -> None:
         _write_rows(handle, labels, dataset.periods, list(map(dataset.column, names)))
 
 
+def _mean_fills(dataset: PanelDataset) -> dict[str, np.ndarray]:
+    """Each physical column's per-individual fill, for the columns with a masked cell.
+
+    An individual's fill is its observed mean of the column, or the
+    column's global observed mean if it has none observed. A column with
+    no observed value at all is a DataError.
+    """
+    fills = {}
+    for name in dataset.physical_names():
+        values, mask = dataset.column(name)
+        if not mask.any():
+            continue
+        observed = ~mask
+        if not observed.any():
+            raise DataError(f"variable {name!r} has no observed values to impute from")
+        counts = observed.sum(axis=1)
+        fill = np.full(dataset.n_individuals, float(values[observed].mean()))
+        np.divide(np.where(observed, values, 0.0).sum(axis=1), counts, out=fill,
+                  where=counts > 0)
+        fills[name] = fill
+    return fills
+
+
 def impute_mean(dataset: PanelDataset) -> PanelDataset:
     """Fill masked cells with the individual's own observed mean per variable.
 
@@ -475,17 +498,8 @@ def impute_mean(dataset: PanelDataset) -> PanelDataset:
     is idempotent and clears the mask.
     """
     out = dataset.copy()
-    for name in dataset.physical_names():
-        values, mask = out.column(name)
-        if not mask.any():
-            continue
-        observed = ~mask
-        if not observed.any():
-            raise DataError(f"variable {name!r} has no observed values to impute from")
-        counts = observed.sum(axis=1)
-        fill = np.full(out.n_individuals, float(values[observed].mean()))
-        np.divide(np.where(observed, values, 0.0).sum(axis=1), counts, out=fill,
-                  where=counts > 0)
+    for name, fill in _mean_fills(dataset).items():
+        values, mask = dataset.column(name)
         _write_column(out, name, np.where(mask, fill[:, None], values))
     out.missing_mask = np.zeros_like(out.missing_mask)
     return out
@@ -522,6 +536,12 @@ def standardize(dataset: PanelDataset) -> tuple[PanelDataset, StandardizationSta
     :func:`apply_standardization`. The standard deviation uses the
     population denominator. Constant columns are rejected by name.
     """
+    state = _standardization_state(dataset)
+    return apply_standardization(dataset, state), state
+
+
+def _standardization_state(dataset: PanelDataset) -> StandardizationState:
+    """The state :func:`standardize` fits on ``dataset``."""
     if dataset.missing_mask.any():
         raise DataError("standardize needs a fully observed panel; impute first")
     if dataset.y.size == 0:
@@ -540,14 +560,13 @@ def standardize(dataset: PanelDataset) -> tuple[PanelDataset, StandardizationSta
     r_mean, r_std = column_stats(dataset.y, dataset.response_name)
     z_stats = [column_stats(dataset.z[:, :, j], nm) for j, nm in enumerate(dataset.z_names)]
     x_stats = [column_stats(dataset.x[:, :, j], nm) for j, nm in enumerate(dataset.x_names)]
-    state = StandardizationState(
+    return StandardizationState(
         response_mean=r_mean, response_std=r_std,
         z_means=tuple(m for m, _ in z_stats), z_stds=tuple(s for _, s in z_stats),
         x_means=tuple(m for m, _ in x_stats), x_stds=tuple(s for _, s in x_stats),
         z_names=dataset.z_names, x_names=dataset.x_names,
         response_name=dataset.response_name,
     )
-    return apply_standardization(dataset, state), state
 
 
 def apply_standardization(dataset: PanelDataset, state: StandardizationState) -> PanelDataset:
@@ -556,16 +575,24 @@ def apply_standardization(dataset: PanelDataset, state: StandardizationState) ->
     Masked cells stay masked (their NaN values pass through); useful for test
     windows whose response is unknown.
     """
+    out = dataset.copy()
+    _standardize_in_place(out, state)
+    return out
+
+
+def _standardize_in_place(dataset: PanelDataset, state: StandardizationState) -> None:
+    """Overwrite each value v of ``dataset`` with (v - mean) / std of its column."""
     if (dataset.z_names != state.z_names or dataset.x_names != state.x_names
             or dataset.response_name != state.response_name):
         raise DataError("dataset columns do not match the standardization state")
-    out = dataset.copy()
-    out.y = (dataset.y - state.response_mean) / state.response_std
-    for j in range(dataset.q):
-        out.z[:, :, j] = (dataset.z[:, :, j] - state.z_means[j]) / state.z_stds[j]
-    for j in range(dataset.p):
-        out.x[:, :, j] = (dataset.x[:, :, j] - state.x_means[j]) / state.x_stds[j]
-    return out
+    columns = [(dataset.y, state.response_mean, state.response_std)]
+    columns += [(dataset.z[:, :, j], state.z_means[j], state.z_stds[j])
+                for j in range(dataset.q)]
+    columns += [(dataset.x[:, :, j], state.x_means[j], state.x_stds[j])
+                for j in range(dataset.p)]
+    for values, mean, std in columns:
+        values -= mean
+        values /= std
 
 
 def destandardize_response(values, state: StandardizationState):
@@ -577,24 +604,38 @@ def destandardize_response(values, state: StandardizationState):
 class ScenarioSplit:
     """Train/test pairing of feature periods to target periods.
 
-    Each pair is (individual index, feature time index, target time index);
-    target indices at or beyond the panel length denote future periods
-    (scenario 3 test targets). With lag 5 the network part is augmented with
-    the feature-period response.
+    Each time pair is (feature time index, target time index), and every
+    individual of the panel takes every pair. Target indices at or beyond
+    the panel length denote future periods (scenario 3 test targets). With
+    lag 5 the network part is augmented with the feature-period response.
     """
 
     scenario: int
     lag: int
     augment_with_lagged_response: bool
     future_targets: bool
-    train_pairs: tuple[tuple[int, int, int], ...]
-    test_pairs: tuple[tuple[int, int, int], ...]
+    n_individuals: int
+    train_times: tuple[tuple[int, int], ...]
+    test_times: tuple[tuple[int, int], ...]
 
     def train_time_pairs(self) -> list[tuple[int, int]]:
-        return sorted({(tf, tt) for _, tf, tt in self.train_pairs})
+        return list(self.train_times)
 
     def test_time_pairs(self) -> list[tuple[int, int]]:
-        return sorted({(tf, tt) for _, tf, tt in self.test_pairs})
+        return list(self.test_times)
+
+    @property
+    def train_pairs(self) -> tuple[tuple[int, int, int], ...]:
+        """(individual index, feature time index, target time index) of every train row."""
+        return self._rows(self.train_times)
+
+    @property
+    def test_pairs(self) -> tuple[tuple[int, int, int], ...]:
+        """(individual index, feature time index, target time index) of every test row."""
+        return self._rows(self.test_times)
+
+    def _rows(self, times) -> tuple[tuple[int, int, int], ...]:
+        return tuple((i, tf, tt) for i in range(self.n_individuals) for tf, tt in times)
 
 
 def scenario_split(dataset: PanelDataset, scenario: int) -> ScenarioSplit:
@@ -627,12 +668,10 @@ def scenario_split(dataset: PanelDataset, scenario: int) -> ScenarioSplit:
         lag, augment = LAG, True
     else:
         raise ConfigError(f"scenario must be 1, 2, or 3, got {scenario!r}")
-    n = dataset.n_individuals
-    train_pairs = tuple((i, tf, tt) for i in range(n) for tf, tt in train)
-    test_pairs = tuple((i, tf, tt) for i in range(n) for tf, tt in test)
     return ScenarioSplit(
         scenario=scenario, lag=lag, augment_with_lagged_response=augment,
-        future_targets=future, train_pairs=train_pairs, test_pairs=test_pairs,
+        future_targets=future, n_individuals=dataset.n_individuals,
+        train_times=tuple(train), test_times=tuple(test),
     )
 
 
@@ -645,37 +684,57 @@ def materialize_split(dataset: PanelDataset, split: ScenarioSplit,
     part gains a lagged-response column when the split asks for it. Future
     targets (scenario 3 test) carry a masked NaN response.
     """
+    return _gather(dataset, split, subset, None)
+
+
+def _gather(dataset: PanelDataset, split: ScenarioSplit, subset: str,
+            fills: Optional[dict]) -> PanelDataset:
+    """:func:`materialize_split`, each of whose columns is gathered once from ``dataset``.
+
+    With ``fills`` (see :func:`_mean_fills`) the result is that of
+    :func:`impute_mean` followed by :func:`materialize_split`, without the
+    imputed copy of the whole panel: each masked cell takes its individual's
+    fill as it is gathered, and only future targets stay masked. (A column
+    that feeds both parts must hold the same cells in both, as :func:`ingest`
+    reads it.)
+    """
     if subset not in ("train", "test"):
         raise ConfigError(f"subset must be 'train' or 'test', got {subset!r}")
     time_pairs = split.train_time_pairs() if subset == "train" else split.test_time_pairs()
-    n, t = dataset.n_individuals, dataset.n_periods
+    n, t, q, p = dataset.n_individuals, dataset.n_periods, dataset.q, dataset.p
     h = len(time_pairs)
-    target_times = [tt for _, tt in time_pairs]
+    feature_times = [tf for tf, _ in time_pairs]
+    # Future targets are read at the last period, then overwritten below.
+    target_times = [min(tt, t - 1) for _, tt in time_pairs]
     period_labels = tuple(
         dataset.periods[tt] if tt < t else dataset.periods[-1] + (tt - t + 1)
-        for tt in target_times
+        for _, tt in time_pairs
     )
 
     p_extra = 1 if split.augment_with_lagged_response else 0
-    y = np.full((n, h), np.nan)
-    z = np.empty((n, h, dataset.q))
-    x = np.empty((n, h, dataset.p + p_extra))
-    mask = np.zeros((n, h, 1 + dataset.q + dataset.p + p_extra), dtype=bool)
-    for j, (tf, tt) in enumerate(time_pairs):
-        if tt < t:
-            y[:, j] = dataset.y[:, tt]
-            mask[:, j, 0] = dataset.missing_mask[:, tt, 0]
-        else:
-            mask[:, j, 0] = True
-        z[:, j, :] = dataset.z[:, tf, :]
-        mask[:, j, 1:1 + dataset.q] = dataset.missing_mask[:, tf, 1:1 + dataset.q]
-        x[:, j, :dataset.p] = dataset.x[:, tf, :]
-        mask[:, j, 1 + dataset.q:1 + dataset.q + dataset.p] = (
-            dataset.missing_mask[:, tf, 1 + dataset.q:]
-        )
-        if p_extra:
-            x[:, j, -1] = dataset.y[:, tf]
-            mask[:, j, -1] = dataset.missing_mask[:, tf, 0]
+    y = np.empty((n, h))
+    z = np.empty((n, h, q))
+    x = np.empty((n, h, p + p_extra))
+    mask = np.zeros((n, h, 1 + q + p + p_extra), dtype=bool)
+    # Each slot of the result's mask: its values, name, source values and source mask slot.
+    slots = [(y, dataset.response_name, dataset.y, 0)]
+    slots += [(z[:, :, j], name, dataset.z[:, :, j], 1 + j)
+              for j, name in enumerate(dataset.z_names)]
+    slots += [(x[:, :, j], name, dataset.x[:, :, j], 1 + q + j)
+              for j, name in enumerate(dataset.x_names)]
+    if p_extra:
+        slots.append((x[:, :, -1], dataset.response_name, dataset.y, 0))
+    for slot, (values_out, name, source, c) in enumerate(slots):
+        times = target_times if slot == 0 else feature_times
+        values_out[...] = source[:, times]
+        missing = dataset.missing_mask[:, times, c]
+        if fills is None:
+            mask[:, :, slot] = missing
+        elif name in fills:
+            np.copyto(values_out, fills[name][:, None], where=missing)
+    future = [j for j, (_, tt) in enumerate(time_pairs) if tt >= t]
+    y[:, future] = np.nan
+    mask[:, future, 0] = True
     x_names = dataset.x_names + (
         (f"{dataset.response_name}_lag{split.lag}",) if p_extra else ()
     )

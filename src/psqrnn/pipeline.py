@@ -52,19 +52,26 @@ def prepare_scenario(dataset: PanelDataset, scenario: int,
                      standardize: bool = True) -> PreparedScenario:
     """Impute, split, materialize, and optionally standardize a panel.
 
-    Standardization statistics come from the training panel alone and are
-    applied to the test panel.
+    Each panel is gathered once from ``dataset``, which is left as it is:
+    masked cells take their individual's mean as they are gathered, and the
+    fresh arrays are standardized in place. Standardization statistics come
+    from the training panel alone and are applied to the test panel.
     """
-    imputed = paneldata.impute_mean(dataset)
-    split = paneldata.scenario_split(imputed, scenario)
-    train = paneldata.materialize_split(imputed, split, "train")
-    test = paneldata.materialize_split(imputed, split, "test")
+    split, (train, test) = _split_panels(dataset, scenario, ("train", "test"))
     state = None
     if standardize:
-        train, state = paneldata.standardize(train)
-        test = paneldata.apply_standardization(test, state)
+        state = paneldata._standardization_state(train)
+        paneldata._standardize_in_place(train, state)
+        paneldata._standardize_in_place(test, state)
     return PreparedScenario(split=split, train=train, test=test, state=state,
                             periods=dataset.periods)
+
+
+def _split_panels(dataset: PanelDataset, scenario: int, subsets) -> tuple:
+    """The scenario's split and its imputed, unstandardized panels named in ``subsets``."""
+    fills = paneldata._mean_fills(dataset)
+    split = paneldata.scenario_split(dataset, scenario)
+    return split, [paneldata._gather(dataset, split, subset, fills) for subset in subsets]
 
 
 @dataclass

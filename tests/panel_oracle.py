@@ -1,5 +1,6 @@
 """Row-at-a-time reference versions of ``paneldata.ingest``, ``emit``,
-``impute_mean`` and the predictions read of ``psqrnn evaluate``.
+``impute_mean`` and the predictions read of ``psqrnn evaluate``, and the
+copy-at-each-step chain that ``pipeline.prepare_scenario`` replaces.
 
 These are the original per-row parsers, per-cell writer and per-individual
 imputation. The package works on panels a column at a time; the tests hold
@@ -15,7 +16,15 @@ import math
 import numpy as np
 
 from psqrnn.errors import DataError
-from psqrnn.paneldata import DEFAULT_SCHEMA, PanelDataset, PanelSchema, _write_column
+from psqrnn.paneldata import (
+    DEFAULT_SCHEMA,
+    PanelDataset,
+    PanelSchema,
+    StandardizationState,
+    _write_column,
+    impute_mean,
+    scenario_split,
+)
 
 _MISSING_TOKENS = ("", "NA")
 
@@ -236,3 +245,91 @@ def impute_mean_rowwise(dataset: PanelDataset) -> PanelDataset:
         _write_column(out, name, filled)
     out.missing_mask = np.zeros_like(out.missing_mask)
     return out
+
+
+def materialize_pairwise(dataset: PanelDataset, split, subset: str) -> PanelDataset:
+    """Reference split panel: time pairs from the per-row triples, one copy per pair."""
+    rows = split.train_pairs if subset == "train" else split.test_pairs
+    time_pairs = sorted({(tf, tt) for _, tf, tt in rows})
+    n, t, q, p = dataset.n_individuals, dataset.n_periods, dataset.q, dataset.p
+    h = len(time_pairs)
+    period_labels = tuple(dataset.periods[tt] if tt < t else dataset.periods[-1] + (tt - t + 1)
+                          for _, tt in time_pairs)
+    p_extra = 1 if split.augment_with_lagged_response else 0
+    y = np.full((n, h), np.nan)
+    z = np.empty((n, h, q))
+    x = np.empty((n, h, p + p_extra))
+    mask = np.zeros((n, h, 1 + q + p + p_extra), dtype=bool)
+    for j, (tf, tt) in enumerate(time_pairs):
+        if tt < t:
+            y[:, j] = dataset.y[:, tt]
+            mask[:, j, 0] = dataset.missing_mask[:, tt, 0]
+        else:
+            mask[:, j, 0] = True
+        z[:, j, :] = dataset.z[:, tf, :]
+        mask[:, j, 1:1 + q] = dataset.missing_mask[:, tf, 1:1 + q]
+        x[:, j, :p] = dataset.x[:, tf, :]
+        mask[:, j, 1 + q:1 + q + p] = dataset.missing_mask[:, tf, 1 + q:]
+        if p_extra:
+            x[:, j, -1] = dataset.y[:, tf]
+            mask[:, j, -1] = dataset.missing_mask[:, tf, 0]
+    x_names = dataset.x_names + ((f"{dataset.response_name}_lag{split.lag}",) if p_extra else ())
+    return PanelDataset(
+        dataset.individuals, period_labels, y, z, x, mask,
+        response_name=dataset.response_name, z_names=dataset.z_names, x_names=x_names,
+        individual_label=dataset.individual_label, period_label=dataset.period_label,
+    )
+
+
+def standardization_state_of(dataset: PanelDataset) -> StandardizationState:
+    """Reference training statistics: period-major mean and population std per column."""
+    if dataset.missing_mask.any():
+        raise DataError("standardize needs a fully observed panel; impute first")
+    if dataset.y.size == 0:
+        raise DataError("standardize needs a nonempty panel")
+
+    def stats(values, name):
+        values = np.asfortranarray(values)
+        mean, std = float(values.mean()), float(values.std())
+        if std == 0.0:
+            raise DataError(f"column {name!r} is constant on the training window")
+        return mean, std
+
+    r = stats(dataset.y, dataset.response_name)
+    zs = [stats(dataset.z[:, :, j], name) for j, name in enumerate(dataset.z_names)]
+    xs = [stats(dataset.x[:, :, j], name) for j, name in enumerate(dataset.x_names)]
+    return StandardizationState(
+        response_mean=r[0], response_std=r[1],
+        z_means=tuple(m for m, _ in zs), z_stds=tuple(s for _, s in zs),
+        x_means=tuple(m for m, _ in xs), x_stds=tuple(s for _, s in xs),
+        z_names=dataset.z_names, x_names=dataset.x_names, response_name=dataset.response_name,
+    )
+
+
+def standardized_copy(dataset: PanelDataset, state: StandardizationState) -> PanelDataset:
+    """Reference standardization: a new array of (v - mean) / std per column."""
+    out = dataset.copy()
+    out.y = (dataset.y - state.response_mean) / state.response_std
+    for j in range(dataset.q):
+        out.z[:, :, j] = (dataset.z[:, :, j] - state.z_means[j]) / state.z_stds[j]
+    for j in range(dataset.p):
+        out.x[:, :, j] = (dataset.x[:, :, j] - state.x_means[j]) / state.x_stds[j]
+    return out
+
+
+def prepare_chain(dataset: PanelDataset, scenario: int, standardize: bool = True):
+    """Reference scenario preparation: (split, train, test, state).
+
+    The whole panel is imputed into a copy, each split panel is gathered
+    from that copy, and each is standardized into another copy.
+    """
+    imputed = impute_mean(dataset)
+    split = scenario_split(imputed, scenario)
+    train = materialize_pairwise(imputed, split, "train")
+    test = materialize_pairwise(imputed, split, "test")
+    state = None
+    if standardize:
+        state = standardization_state_of(train)
+        train = standardized_copy(train, state)
+        test = standardized_copy(test, state)
+    return split, train, test, state

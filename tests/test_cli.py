@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import traced_peak
 from panel_oracle import read_predictions_rowwise
-from psqrnn import artifact, cli
+from psqrnn import artifact, cli, paneldata
 from psqrnn.artifact import embedded_schema
 from psqrnn.losses import TauGrid
 from psqrnn.model import ModelKind, PenaltyConfig
@@ -604,6 +604,66 @@ class TestPredictEvaluate:
                 if ln and not ln.startswith("#")]
         assert rows[0] == "individual,period,actual,predicted"
         assert len(rows) == 1 + 4
+
+
+class TestPredictGathersOnePanel:
+    """predict gathers only the split panel it writes, imputed as prepare_scenario imputes it."""
+
+    @pytest.mark.parametrize("which", ["train", "test"])
+    @pytest.mark.parametrize("scenario", [2, 3])
+    def test_rows_of_the_prepared_panel(self, tmp_path, monkeypatch, which, scenario):
+        ds, _ = generate_synthetic(SyntheticConfig(n_individuals=4, n_periods=16), 8)
+        ds.missing_mask = np.random.default_rng(8).random(ds.missing_mask.shape) < 0.2
+        ds.y[ds.missing_mask[:, :, 0]] = np.nan
+        panel, art, pred = tmp_path / "panel.csv", tmp_path / "fit.json", tmp_path / "pred.csv"
+        artifact.write_panel(ds, panel, "synth", {})
+        assert run(["train", "--input", str(panel), "--output", str(art), "--kind", "linear",
+                    "--taus", "0.5", "--scenario", str(scenario), *FAST_FLAGS]) == 0
+        gathered = []
+        gather = paneldata._gather
+        monkeypatch.setattr(paneldata, "_gather", lambda *args: gathered.append(args[2])
+                            or gather(*args))
+        assert run(["predict", "--artifact", str(art), "--input", str(panel),
+                    "--output", str(pred), "--which", which]) == 0
+        assert gathered == [which]
+        raw = prepare_scenario(_ingest_embedded(panel), scenario, standardize=False)
+        want = artifact.predict(artifact.load(art), getattr(raw, which))[0]
+        rows = list(csv.reader(pred.read_text().splitlines()[2:]))
+        assert [float(r[3]) for r in rows] == want.ravel().tolist()
+
+
+class TestDamagedPreamble:
+    """A '# {' first line that is not JSON is a data error naming the file and line 1."""
+
+    @pytest.mark.parametrize("command", ["ingest", "train"])
+    def test_exit_2(self, synth_csv, tmp_path, capsys, command):
+        text = synth_csv.read_text()
+        assert text.startswith('# {"command"')
+        synth_csv.write_text(text.replace('# {"command"', '# {x"command"', 1))
+        argv = {"ingest": ["ingest", "--input", str(synth_csv)],
+                "train": ["train", "--input", str(synth_csv), "--output",
+                          str(tmp_path / "fit.json"), "--kind", "linear", *FAST_FLAGS]}[command]
+        capsys.readouterr()
+        assert run(argv) == 2
+        assert capsys.readouterr().err == (
+            f"data error: {synth_csv}: line 1: the preamble is not valid JSON: "
+            "Expecting property name enclosed in double quotes at column 4\n")
+        assert not (tmp_path / "fit.json").exists()
+
+
+def test_predictions_short_of_a_full_grid_name_their_file(synth_csv, tmp_path, capsys):
+    art, pred = tmp_path / "fit.json", tmp_path / "pred.csv"
+    assert run(["train", "--input", str(synth_csv), "--output", str(art), "--kind", "linear",
+                "--restarts", "1", "--max-iters", "2"]) == 0
+    assert run(["predict", "--artifact", str(art), "--input", str(synth_csv),
+                "--output", str(pred)]) == 0
+    lines = pred.read_text().splitlines()
+    assert lines[-1].startswith("P4,2018,")
+    pred.write_text("\n".join(lines[:-1]) + "\n")
+    capsys.readouterr()
+    assert run(["evaluate", "--predictions", str(pred), "--actuals", str(synth_csv)]) == 2
+    assert capsys.readouterr().err == (
+        f"data error: {pred}: predictions are not a full grid; missing [('P4', 2018)]\n")
 
 
 class TestMalformedPredictions:

@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import assert_datasets_equal, traced_peak
+from panel_oracle import prepare_chain
 from psqrnn import cli, paneldata
-from psqrnn.errors import ConfigError
+from psqrnn.errors import ConfigError, DataError
 from psqrnn.losses import TauGrid
 from psqrnn.model import ModelKind, PenaltyConfig
 from psqrnn.network import NetworkSpec
-from psqrnn.paneldata import SyntheticConfig, generate_synthetic
+from psqrnn.paneldata import PanelDataset, SyntheticConfig, generate_synthetic
 from psqrnn.pipeline import (
     beta_original_scale,
     default_tau_grid,
@@ -59,6 +63,102 @@ class TestPrepareScenario:
         prep = prepare_scenario(ds, 3)
         assert prep.test.missing_mask[:, :, 0].all()
         assert np.isnan(prep.test.y).all()
+
+    @pytest.mark.parametrize("scenario", [1, 2, 3])
+    def test_dataset_left_as_it_was(self, scenario):
+        ds, _ = generate_synthetic(SyntheticConfig(n_individuals=6, n_periods=16), 4)
+        ds.missing_mask = np.random.default_rng(4).random(ds.missing_mask.shape) < 0.2
+        ds.y[ds.missing_mask[:, :, 0]] = np.nan
+        arrays = (ds.y, ds.z, ds.x, ds.missing_mask)
+        before = [a.copy() for a in arrays]
+        prep = prepare_scenario(ds, scenario)
+        for array, copy in zip(arrays, before):
+            assert array.tobytes() == copy.tobytes()
+        for panel in (prep.train, prep.test):
+            for out in (panel.y, panel.z, panel.x, panel.missing_mask):
+                assert not any(np.shares_memory(out, a) for a in arrays)
+
+
+@st.composite
+def masked_panels(draw):
+    """A scenario and a panel with NaN in its masked cells, as ingest reads one.
+
+    Masks are random. One column may be missing for one whole individual,
+    and cells may be missing only in the last five periods, the test window
+    of scenarios 1 and 2 and the feature window of scenario 3's test. The
+    network part may reuse the first parametric column, values and mask.
+    """
+    scenario = draw(st.sampled_from([1, 2, 3]))
+    n = draw(st.integers(1, 5))
+    t = draw(st.integers(6 if scenario == 1 else 15, 18))
+    q, p = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    shared = q > 0 and p > 0 and draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    share = draw(st.sampled_from([0.0, 0.05, 0.3]))
+    width = 1 + q + p - shared
+    values = rng.standard_normal((n, t, width))
+    values[:, :, 0] += 50.0
+    missing = rng.random(values.shape) < share
+    if draw(st.booleans()):
+        missing[rng.integers(n), :, rng.integers(width)] = True
+    if draw(st.booleans()):
+        missing[:, t - 5:, :] |= rng.random((n, 5, width)) < 0.3
+    values[missing] = np.nan
+    # Physical column of each mask slot: response, z columns, x columns.
+    slots = [0, *range(1, 1 + q), *([1] if shared else []), *range(1 + q, width)]
+    x_names = ("z1",) * shared + tuple(f"x{j + 1}" for j in range(shared, p))
+    dataset = PanelDataset(
+        tuple(f"i{k}" for k in range(n)), tuple(range(2000, 2000 + t)), values[:, :, 0],
+        values[:, :, 1:1 + q], values[:, :, slots[1 + q:]], missing[:, :, slots],
+        x_names=x_names,
+    )
+    return scenario, dataset
+
+
+def same_bits(a: PanelDataset, b: PanelDataset) -> bool:
+    assert_datasets_equal(a, b)
+    return all(u.tobytes() == v.tobytes() for u, v in ((a.y, b.y), (a.z, b.z), (a.x, b.x)))
+
+
+def outcome(call):
+    """call()'s result, or the message of the DataError it raised."""
+    try:
+        return call()
+    except DataError as exc:
+        return str(exc)
+
+
+class TestPrepareMatchesChainOracle:
+    """prepare_scenario gives the bits of imputing, materializing and standardizing copies."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=masked_panels(), standardize=st.booleans())
+    def test_same_bits(self, case, standardize):
+        scenario, dataset = case
+        got = outcome(lambda: prepare_scenario(dataset, scenario, standardize))
+        want = outcome(lambda: prepare_chain(dataset, scenario, standardize))
+        if isinstance(want, str) or isinstance(got, str):
+            assert got == want
+            return
+        split, train, test, state = want
+        assert got.split == split and got.state == state and got.periods == dataset.periods
+        assert same_bits(got.train, train) and same_bits(got.test, test)
+
+
+class TestPrepareMemory:
+    """prepare_scenario gathers each split panel once, with no imputed or standardized copy."""
+
+    def test_peak_on_a_1000_by_40_panel(self):
+        ds, _ = generate_synthetic(SyntheticConfig(n_individuals=1000, n_periods=40), 5)
+        ds.missing_mask = np.random.default_rng(5).random(ds.missing_mask.shape) < 0.02
+        for values, slot in ((ds.y, 0), (ds.z[:, :, 0], 1), (ds.z[:, :, 1], 2),
+                             (ds.x[:, :, 0], 3), (ds.x[:, :, 1], 4)):
+            values[ds.missing_mask[:, :, slot]] = np.nan
+        prep, peak = traced_peak(lambda: prepare_scenario(ds, 1))
+        # The panel's arrays take 1.72 MiB, and so do the two split panels;
+        # imputing and standardizing copies of them peaked at 8.0 MiB.
+        assert prep.train.y.shape == (1000, 35)
+        assert peak <= 3 * 2 ** 20
 
 
 class TestTrainPredictEvaluate:
