@@ -57,16 +57,34 @@ def pinball(u, tau):
     return _as_result(u * (tau - (u < 0.0)))
 
 
-def _huber_value_and_deriv(u, epsilon, want_deriv):
+def _huber_value_and_deriv(u, epsilon, want_deriv, value=None, deriv=None, inside=None):
     """The Huber norm of an array ``u`` and, if asked, its derivative, sharing
-    |u| and the inside mask; the one kernel behind the loss functions here
-    and the fit's objective, which check ``epsilon`` before calling it."""
-    a = np.abs(u)
-    inside = a <= epsilon
-    value = np.where(inside, u * u / (2.0 * epsilon), a - 0.5 * epsilon)
+    the inside mask; the one kernel behind the loss functions here and the
+    fit's objective, which check ``epsilon`` before calling it.
+
+    The results are written into ``value`` and ``deriv``, and the mask into
+    ``inside``, arrays of u's shape; each one not given is a fresh array.
+    ``deriv`` serves as scratch space for the value.
+    """
+    if value is None:
+        value = np.empty_like(u)
+    if deriv is None:
+        deriv = np.empty_like(u)
+    if inside is None:
+        inside = np.empty(np.shape(u), dtype=bool)
+    np.less_equal(np.abs(u, out=value), epsilon, out=inside)
+    value -= 0.5 * epsilon
+    quadratic = np.multiply(u, u, out=deriv)
+    quadratic /= 2.0 * epsilon
+    np.copyto(value, quadratic, where=inside)
     if not want_deriv:
         return value, None
-    return value, np.where(inside, u / epsilon, np.sign(u))
+    # u / epsilon lies within [-1, 1] exactly where |u| <= epsilon, and
+    # rounds to at least 1 in magnitude beyond, so clipping it to [-1, 1]
+    # gives sign(u) there.
+    np.divide(u, epsilon, out=deriv)
+    np.minimum(deriv, 1.0, out=deriv)
+    return value, np.maximum(deriv, -1.0, out=deriv)
 
 
 def huber(u, epsilon):

@@ -126,12 +126,54 @@ class _Layout:
         return ModelParameters(beta, alpha, net)
 
 
+class _Workspace:
+    """The buffers one fit's evaluations write into, sized once per fit.
+
+    ``params`` receives the optimizer's vector and ``grad`` the gradient,
+    each with its beta, alpha and network views built once; ``net_work``
+    holds the network's passes, whose gradient lands in ``grad``. ``u`` holds
+    the prediction, then the residual, followed by the intercepts when they
+    are penalized, so one Huber pass into ``hub`` and ``hub_deriv`` serves
+    the data term and the intercept penalty. ``mask`` holds the inside mask
+    and then the residuals' signs, and ``side`` each residual's check-loss
+    weight. (N, T) views of the leading rows are named after what they hold.
+    """
+
+    def __init__(self, problem: "_Problem"):
+        p = problem
+        n, t = p.n, p.t
+        rows = n * t
+        self.params = np.empty(p.size)
+        self.grad = np.empty(p.size)
+        span = rows + n if p.lambda1 > 0.0 else rows
+        self.u, self.hub, self.hub_deriv = np.empty(span), np.empty(span), np.empty(span)
+        self.mask = np.empty(span, dtype=bool)
+        self.side = np.empty((n, t))
+        self.pred = self.u[:rows].reshape(n, t)
+        self.row_mask = self.mask[:rows].reshape(n, t)
+        self.loss = self.hub[:rows].reshape(n, t)
+        self.cotangent = self.hub_deriv[:rows].reshape(n, t)
+        self.beta = self.alpha = self.grad_beta = self.grad_alpha = None
+        self.net_params = self.net_work = None
+        self.hidden_params = self.hidden_grad = ()
+        if p.beta is not None:
+            self.beta, self.alpha = self.params[p.beta], self.params[p.alpha]
+            self.grad_beta, self.grad_alpha = self.grad[p.beta], self.grad[p.alpha]
+        if p.net is not None:
+            params, grad = self.params[p.net], self.grad[p.net]
+            self.net_params = p.network.views(params)
+            self.net_work = network.Workspace(p.spec, rows, grad)
+            self.hidden_params = [params[h] for h in p.network.hidden_weights]
+            self.hidden_grad = [grad[h] for h in p.network.hidden_weights]
+
+
 class _Problem(_Layout):
     """A panel arranged once for one kind: its packed layout, the predictor
     and the checks on its inputs.
 
     The covariates must be observed. With a ``grid`` the problem is a fit,
-    whose response must be observed too; without one it only predicts.
+    whose response must be observed too, and it owns the fit's workspace;
+    without one it only predicts.
     """
 
     def __init__(self, dataset, kind: ModelKind, grid: Optional[TauGrid] = None,
@@ -161,6 +203,7 @@ class _Problem(_Layout):
             self.lambda1 = penalties.lambda1 if kind.uses_linear_term else 0.0
             self.lambda2 = penalties.lambda2 if kind.uses_network else 0.0
             self.hidden_count = self.spec.hidden_weight_count if self.spec else 0
+            self.work = _Workspace(self)
 
     def check(self, params: ModelParameters) -> None:
         """Raise ValueError unless the linear parameters fit the panel."""
@@ -170,16 +213,22 @@ class _Problem(_Layout):
                 f"the panel has {self.q} parametric covariates and {self.n} individuals"
             )
 
-    def predictor(self, beta, alpha, net):
-        """z'beta + alpha_i + ANN(x) per (individual, period), and the network's
-        forward cache; the arguments the kind freezes are not read."""
-        pred, cache = 0.0, None
+    def predictor(self, beta, alpha, net, out: np.ndarray, work=None):
+        """Write z'beta + alpha_i + ANN(x) per (individual, period) into the
+        (N, T) array ``out`` and return the network's forward cache, which
+        ``work`` holds if given; the arguments the kind freezes are not read."""
+        cache = None
         if self.z is not None:
-            pred = (self.z @ beta).reshape(self.n, self.t) + alpha[:, None]
+            np.matmul(self.z, beta, out=out.reshape(-1))
+            out += alpha[:, None]
         if self.x is not None:
-            ann, cache = network.forward_batch(net, self.x)
-            pred = pred + ann.reshape(self.n, self.t)
-        return pred, cache
+            ann, cache = network.forward_batch(net, self.x, work=work)
+            ann = ann.reshape(self.n, self.t)
+            if self.z is not None:
+                out += ann
+            else:  # a zero linear part, which turns -0.0 into 0.0
+                np.add(0.0, ann, out=out)
+        return cache
 
 
 class _Evaluation(NamedTuple):
@@ -193,39 +242,41 @@ def _evaluate(problem: _Problem, vector: np.ndarray, epsilon: float, *,
               want_grad: bool) -> _Evaluation:
     """Objective value, data term and gradient at a packed parameter vector.
 
-    Parameters are read as views of ``vector``; ``epsilon`` is checked by the
-    caller (once per annealing stage in a fit).
+    Every intermediate is written into the problem's workspace; the gradient
+    returned is a fresh array. ``epsilon`` is checked by the caller (once per
+    annealing stage in a fit).
     """
-    p = problem
-    n = p.n
-    beta = alpha = net = net_vector = None
-    if p.beta is not None:
-        beta, alpha = vector[p.beta], vector[p.alpha]
-    if p.net is not None:
-        net_vector = vector[p.net]
-        net = p.network.views(net_vector)
-    pred, cache = p.predictor(beta, alpha, net)
+    p, w = problem, problem.work
+    n, rows = p.n, p.n * p.t
+    np.copyto(w.params, vector)
+    cache = p.predictor(w.beta, w.alpha, w.net_params, w.pred, w.net_work)
 
-    resid = p.y - pred
-    if not np.isfinite(resid).all():
-        raise ArithmeticError("non-finite residuals in objective evaluation")
+    resid = np.subtract(p.y, w.pred, out=w.pred)
+    if p.lambda1 > 0.0:
+        w.u[rows:] = w.alpha
+    hub, hub_deriv = losses._huber_value_and_deriv(w.u, epsilon, want_grad,
+                                                   w.hub, w.hub_deriv, w.mask)
 
     # Without per-level intercepts the K weighted check losses of a residual
     # sum to the one loss at tau_bar (see TauGrid.tau_bar). Reduce per
     # individual first so the final compensated sum is invariant to
     # individual ordering.
-    side = np.where(resid >= 0.0, p.tau_bar, 1.0 - p.tau_bar)
-    hub, hub_deriv = losses._huber_value_and_deriv(resid, epsilon, want_grad)
-    loss = side * hub
-    data_term = math.fsum(loss.sum(axis=1).tolist()) * p.scale
+    side = w.side
+    side.fill(1.0 - p.tau_bar)
+    np.copyto(side, p.tau_bar, where=np.greater_equal(resid, 0.0, out=w.row_mask))
+    loss = w.loss
+    loss *= side
+    data_term = math.fsum(np.add.reduce(loss, axis=1).tolist()) * p.scale
+    # A non-finite residual makes the data term non-finite, so the residuals
+    # need a look only when it is.
+    if not math.isfinite(data_term) and not np.isfinite(resid).all():
+        raise ArithmeticError("non-finite residuals in objective evaluation")
 
     value = data_term
     if p.lambda1 > 0.0:
-        alpha_hub, alpha_hub_deriv = losses._huber_value_and_deriv(alpha, epsilon, want_grad)
-        value += p.lambda1 * math.fsum(alpha_hub.tolist()) / n
+        value += p.lambda1 * math.fsum(hub[rows:].tolist()) / n
     if p.lambda2 > 0.0:
-        sq = sum(float((net_vector[h] * net_vector[h]).sum())
-                 for h in p.network.hidden_weights)
+        sq = sum(float(np.add.reduce(h * h)) for h in w.hidden_params)
         value += p.lambda2 * sq / p.hidden_count
     if not math.isfinite(value):
         raise ArithmeticError("objective evaluated to a non-finite value")
@@ -234,22 +285,20 @@ def _evaluate(problem: _Problem, vector: np.ndarray, epsilon: float, *,
         return _Evaluation(value, data_term, None)
 
     # d value / d pred, row by row.
-    cotangent = side * hub_deriv
+    cotangent = w.cotangent
+    cotangent *= side
     cotangent *= -p.scale
-    grad = np.empty(p.size)
     if p.beta is not None:
-        grad[p.beta] = p.z.T @ cotangent.ravel()
-        grad_alpha = cotangent.sum(axis=1)
+        np.matmul(p.z.T, cotangent.reshape(-1), out=w.grad_beta)
+        np.add.reduce(cotangent, axis=1, out=w.grad_alpha)
         if p.lambda1 > 0.0:
-            grad_alpha += p.lambda1 * alpha_hub_deriv / n
-        grad[p.alpha] = grad_alpha
+            w.grad_alpha += p.lambda1 * hub_deriv[rows:] / n
     if p.net is not None:
-        grad_net = network.backward_batch(net, cache, cotangent.ravel())
+        network.backward_batch(w.net_params, cache, cotangent.reshape(-1), work=w.net_work)
         if p.lambda2 > 0.0:
-            for h in p.network.hidden_weights:
-                grad_net[h] += (2.0 * p.lambda2 / p.hidden_count) * net_vector[h]
-        grad[p.net] = grad_net
-    return _Evaluation(value, data_term, grad)
+            for grad_h, h in zip(w.hidden_grad, w.hidden_params):
+                grad_h += (2.0 * p.lambda2 / p.hidden_count) * h
+    return _Evaluation(value, data_term, w.grad.copy())
 
 
 def _evaluate_at(params: ModelParameters, kind: ModelKind, dataset, grid: TauGrid,
@@ -290,7 +339,9 @@ def predict_panel(params: ModelParameters, kind: ModelKind, dataset) -> np.ndarr
     """
     problem = _Problem(dataset, kind, spec=params.spec)
     problem.check(params)
-    return problem.predictor(params.beta, params.alpha, params.net)[0]
+    pred = np.empty((problem.n, problem.t))
+    problem.predictor(params.beta, params.alpha, params.net, pred)
+    return pred
 
 
 def pack_parameters(params: ModelParameters, kind: ModelKind) -> np.ndarray:

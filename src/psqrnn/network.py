@@ -7,7 +7,7 @@ would not be identifiable against them.
 """
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -18,6 +18,7 @@ __all__ = [
     "NetworkParameters",
     "NetworkViews",
     "FlatLayout",
+    "Workspace",
     "init_parameters",
     "forward_batch",
     "backward_batch",
@@ -26,52 +27,61 @@ __all__ = [
 ]
 
 
-def _elu(x):
-    # max(x, 0) + expm1(min(x, 0)): each branch adds an exact zero to the
-    # other, and expm1 only sees the negative part.
-    out = np.expm1(np.minimum(x, 0.0))
-    out += np.maximum(x, 0.0)
-    return out
+def _elu(x, out):
+    # e = expm1(min(x, 0)) is 0 for x >= 0 and never below x, so max(x, e) is
+    # x or expm1(x): the bits of e + max(x, 0). The activation overwrites x,
+    # which the derivative does not read, and e stays in out for it.
+    np.minimum(x, 0.0, out=out)
+    np.expm1(out, out=out)
+    return np.maximum(x, out, out=x)
 
 
-def _elu_deriv(x, y):
-    # 1 on the positive branch, where y >= 0; exp(x) = y + 1 on the negative
-    # branch, read off the activation y < 0.
-    return np.minimum(y, 0.0) + 1.0
+def _elu_deriv(e, y, out):
+    # e + 1: 1 on the positive branch, exp(x) on the negative one; the bits
+    # of min(y, 0) + 1.
+    return np.add(e, 1.0, out=out)
 
 
-def _logistic(x):
+def _logistic(x, out):
     # exp(-x) overflows to inf for x <= -710; the quotient is then 0, which is
     # also what scipy's expit returns there.
     with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-x))
+        np.exp(np.negative(x, out=out), out=out)
+    out += 1.0
+    return np.divide(1.0, out, out=out)
 
 
-def _sigmoid_deriv(x, y):
-    return y * (1.0 - y)
+def _sigmoid_deriv(x, y, out):
+    np.subtract(1.0, y, out=out)
+    out *= y
+    return out
 
 
-def _tanh_deriv(x, y):
-    return 1.0 - y * y
+def _tanh_deriv(x, y, out):
+    np.multiply(y, y, out=out)
+    return np.subtract(1.0, out, out=out)
 
 
-def _softplus(x):
-    return np.logaddexp(0.0, x)
+def _softplus(x, out):
+    return np.logaddexp(0.0, x, out=out)
 
 
-def _softplus_deriv(x, y):
-    return _logistic(x)
+def _softplus_deriv(x, y, out):
+    return _logistic(x, out)
 
 
-def _relu(x):
-    return np.maximum(x, 0.0)
+def _relu(x, out):
+    return np.maximum(x, 0.0, out=out)
 
 
-def _relu_deriv(x, y):
-    return (x > 0.0).astype(float)
+def _relu_deriv(x, y, out):
+    return np.greater(x, 0.0, out=out)
 
 
-#: name -> (activation f(x), derivative f'(x, y) given y = f(x)).
+#: name -> (activation f(x, out), derivative f'(x, y, out) given y = f(x)).
+#: An activation writes y into ``out``, or into x, and returns it; the other
+#: array is what the derivative reads as x (for ELU, expm1(min(x, 0))). A
+#: derivative writes into ``out`` and returns it; ``out`` may be its x.
 _ACTIVATIONS = {
     "elu": (_elu, _elu_deriv),
     "sigmoid": (_logistic, _sigmoid_deriv),
@@ -223,7 +233,27 @@ class FlatLayout:
         )
 
 
-def forward_batch(params, x: np.ndarray):
+class Workspace:
+    """Buffers for the passes over batches of ``n`` rows, sized once.
+
+    Per hidden layer two arrays of shape (n_l, n): the forward pass writes
+    the pre-activation into the first and the activation into the second,
+    or, for ELU, over the pre-activation. :func:`backward_batch` turns each
+    layer's pair into its dz and the upstream gradient, so the two passes
+    hold no more than the forward cache. ``grad`` is the gradient in
+    :func:`flatten` order, and ``grad_views`` its weights and biases, built
+    once.
+    """
+
+    def __init__(self, spec: NetworkSpec, n: int, grad=None):
+        self.pre = [np.empty((h, n)) for h in spec.hidden_sizes]
+        self.acts = [np.empty((h, n)) for h in spec.hidden_sizes]
+        self.out = np.empty(n)
+        self.grad = np.empty(spec.parameter_count) if grad is None else grad
+        self.grad_views = FlatLayout(spec).views(self.grad)
+
+
+def forward_batch(params, x: np.ndarray, *, work: Optional[Workspace] = None):
     """Evaluate the network on a batch of rows.
 
     Layers run feature-major: each activation is an (n_l, n) array with the
@@ -234,41 +264,50 @@ def forward_batch(params, x: np.ndarray):
     ----------
     params : NetworkParameters or NetworkViews
     x : ndarray, shape (n, input_dim)
+    work : Workspace, optional
+        Buffers for n rows that the output and the cache are written into;
+        without it they are fresh arrays.
 
     Returns
     -------
     out : ndarray, shape (n,)
         Scalar network output per row.
     cache : tuple
-        (pre-activations per hidden layer, activations including the
+        (per hidden layer what its derivative reads: the pre-activation, or
+        for ELU expm1 of its negative part; activations including the
         transposed input), reused by :func:`backward_batch`.
     """
     spec = params.spec
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[1] != spec.input_dim:
         raise ValueError(f"input has shape {x.shape}, expected (n, {spec.input_dim})")
+    if work is None:
+        work = Workspace(spec, x.shape[0])
     fn, _ = _ACTIVATIONS[spec.activation]
-    pre = []
-    acts = [x.T]
+    pre, acts = [], [x.T]
     g = x.T
-    for w, b in zip(params.weights, params.biases):
-        z = w.T @ g
+    for w, b, z, a in zip(params.weights, params.biases, work.pre, work.acts):
+        np.matmul(w.T, g, out=z)
         z += b[:, None]
-        pre.append(z)
-        g = fn(z)
+        g = fn(z, a)
+        pre.append(a if g is z else z)
         acts.append(g)
     # einsum sums each column in the same order wherever it sits; BLAS gemv
     # treats the last few columns apart, so a row's output would depend on
     # its position in the batch.
-    out = np.einsum("k,kn->n", params.weights[-1][:, 0], g)
+    out = np.einsum("k,kn->n", params.weights[-1][:, 0], g, out=work.out)
     return out, (pre, acts)
 
 
-def backward_batch(params, cache, cotangent: np.ndarray) -> np.ndarray:
+def backward_batch(params, cache, cotangent: np.ndarray, *,
+                   work: Optional[Workspace] = None) -> np.ndarray:
     """Reverse-mode pass: gradients of sum(cotangent * output) over a batch.
 
     ``cache`` is what :func:`forward_batch` returned for these parameters; its
     activations start with the input batch, so no forward pass is rerun.
+    With ``work``, the workspace that forward pass wrote, the pass overwrites
+    the cache and writes the gradient into ``work.grad``; without it the
+    cache is kept and the gradient is a fresh array.
 
     Returns
     -------
@@ -278,25 +317,34 @@ def backward_batch(params, cache, cotangent: np.ndarray) -> np.ndarray:
     spec = params.spec
     pre, acts = cache
     cotangent = np.asarray(cotangent, dtype=float)
-    if cotangent.shape != (acts[0].shape[1],):
-        raise ValueError(
-            f"cotangent has shape {cotangent.shape}, expected ({acts[0].shape[1]},)"
-        )
+    n = acts[0].shape[1]
+    if cotangent.shape != (n,):
+        raise ValueError(f"cotangent has shape {cotangent.shape}, expected ({n},)")
+    if work is None:
+        work = Workspace(spec, n)
+        for buffer, array in zip(work.pre + work.acts, pre + acts[1:]):
+            np.copyto(buffer, array)
+        pre, acts = work.pre, [acts[0], *work.acts]
     _, dfn = _ACTIVATIONS[spec.activation]
-    n_layers = spec.n_hidden_layers
-    parts = [None] * (2 * n_layers + 1)
+    grad_w, grad_b = work.grad_views.weights, work.grad_views.biases
     # Output layer: out = W_out' acts[-1], no bias.
-    parts[-1] = acts[-1] @ cotangent
-    upstream = params.weights[-1] * cotangent
-    for l in range(n_layers - 1, -1, -1):
-        dz = upstream * dfn(pre[l], acts[l + 1])
-        # dz @ acts[l]' is the transposed gradient of W, so its row-major
-        # ravel is the column-major layout flatten uses.
-        parts[2 * l] = (dz @ acts[l].T).ravel()
-        parts[2 * l + 1] = dz.sum(axis=1)
+    np.matmul(acts[-1], cotangent, out=grad_w[-1][:, 0])
+    # A layer's derivative overwrites what it reads in place of the
+    # pre-activation, where it becomes dz; the upstream gradient then takes
+    # the activation's place.
+    dfn(pre[-1], acts[-1], pre[-1])
+    upstream = np.multiply(params.weights[-1], cotangent, out=acts[-1])
+    for l in range(spec.n_hidden_layers - 1, -1, -1):
+        dz = pre[l]
+        dz *= upstream
+        # dz @ acts[l]' is the transposed gradient of W, so writing it into
+        # the transposed view fills the column-major layout flatten uses.
+        np.matmul(dz, acts[l].T, out=grad_w[l].T)
+        np.add.reduce(dz, axis=1, out=grad_b[l])
         if l > 0:
-            upstream = params.weights[l] @ dz
-    return np.concatenate(parts)
+            dfn(pre[l - 1], acts[l], pre[l - 1])
+            upstream = np.matmul(params.weights[l], dz, out=acts[l])
+    return work.grad
 
 
 def flatten(params: NetworkParameters) -> np.ndarray:

@@ -156,3 +156,125 @@ def evaluate(dataset, params: ModelParameters, kind: ModelKind,
                     2.0 * penalties.lambda2 / hidden_count
                 ) * params.net.weights[l]
     return Evaluation(value, data_term, ModelParameters(grad_beta, grad_alpha, grad_net))
+
+
+# The flat-vector kernel as it was before it wrote into a per-fit workspace:
+# every evaluation allocates its arrays. It reads the same arranged problem
+# and runs the same floating-point operations in the same order, so
+# ``model._evaluate`` must reproduce its value, data term and gradient bit
+# for bit.
+
+
+def _elu_alloc(x):
+    out = np.expm1(np.minimum(x, 0.0))
+    out += np.maximum(x, 0.0)
+    return out
+
+
+def _logistic_alloc(x):
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
+
+
+#: name -> (activation f(x), derivative f'(x, y) given y = f(x)), allocating.
+BATCH_ACTIVATIONS = {
+    "elu": (_elu_alloc, lambda x, y: np.minimum(y, 0.0) + 1.0),
+    "sigmoid": (_logistic_alloc, lambda x, y: y * (1.0 - y)),
+    "tanh": (np.tanh, lambda x, y: 1.0 - y * y),
+    "softplus": (lambda x: np.logaddexp(0.0, x), lambda x, y: _logistic_alloc(x)),
+    "relu": (lambda x: np.maximum(x, 0.0), lambda x, y: (x > 0.0).astype(float)),
+}
+
+
+def forward_batch(params, x: np.ndarray):
+    """Feature-major forward pass into fresh arrays."""
+    fn, _ = BATCH_ACTIVATIONS[params.spec.activation]
+    pre, acts, g = [], [x.T], x.T
+    for w, b in zip(params.weights, params.biases):
+        z = w.T @ g
+        z += b[:, None]
+        pre.append(z)
+        g = fn(z)
+        acts.append(g)
+    return np.einsum("k,kn->n", params.weights[-1][:, 0], g), (pre, acts)
+
+
+def backward_batch(params, cache, cotangent: np.ndarray) -> np.ndarray:
+    """Feature-major reverse pass; the gradient in ``network.flatten`` order."""
+    pre, acts = cache
+    _, dfn = BATCH_ACTIVATIONS[params.spec.activation]
+    n_layers = params.spec.n_hidden_layers
+    parts = [None] * (2 * n_layers + 1)
+    parts[-1] = acts[-1] @ cotangent
+    upstream = params.weights[-1] * cotangent
+    for l in range(n_layers - 1, -1, -1):
+        dz = upstream * dfn(pre[l], acts[l + 1])
+        parts[2 * l] = (dz @ acts[l].T).ravel()
+        parts[2 * l + 1] = dz.sum(axis=1)
+        if l > 0:
+            upstream = params.weights[l] @ dz
+    return np.concatenate(parts)
+
+
+def _huber_alloc(u, epsilon, want_deriv):
+    a = np.abs(u)
+    inside = a <= epsilon
+    value = np.where(inside, u * u / (2.0 * epsilon), a - 0.5 * epsilon)
+    if not want_deriv:
+        return value, None
+    return value, np.where(inside, u / epsilon, np.sign(u))
+
+
+def allocating_evaluate(problem, vector: np.ndarray, epsilon: float, want_grad: bool):
+    """(value, data term, gradient or None) of a ``model._Problem`` fit at a
+    packed vector, every array fresh."""
+    p = problem
+    n = p.n
+    beta = alpha = net = net_vector = None
+    pred = 0.0
+    if p.beta is not None:
+        beta, alpha = vector[p.beta], vector[p.alpha]
+        pred = (p.z @ beta).reshape(n, p.t) + alpha[:, None]
+    if p.net is not None:
+        net_vector = vector[p.net]
+        net = p.network.views(net_vector)
+        ann, cache = forward_batch(net, p.x)
+        pred = pred + ann.reshape(n, p.t)
+
+    resid = p.y - pred
+    if not np.isfinite(resid).all():
+        raise ArithmeticError("non-finite residuals in objective evaluation")
+    side = np.where(resid >= 0.0, p.tau_bar, 1.0 - p.tau_bar)
+    hub, hub_deriv = _huber_alloc(resid, epsilon, want_grad)
+    loss = side * hub
+    data_term = math.fsum(loss.sum(axis=1).tolist()) * p.scale
+
+    value = data_term
+    if p.lambda1 > 0.0:
+        alpha_hub, alpha_hub_deriv = _huber_alloc(alpha, epsilon, want_grad)
+        value += p.lambda1 * math.fsum(alpha_hub.tolist()) / n
+    if p.lambda2 > 0.0:
+        sq = sum(float((net_vector[h] * net_vector[h]).sum())
+                 for h in p.network.hidden_weights)
+        value += p.lambda2 * sq / p.hidden_count
+    if not math.isfinite(value):
+        raise ArithmeticError("objective evaluated to a non-finite value")
+    if not want_grad:
+        return value, data_term, None
+
+    cotangent = side * hub_deriv
+    cotangent *= -p.scale
+    grad = np.empty(p.size)
+    if p.beta is not None:
+        grad[p.beta] = p.z.T @ cotangent.ravel()
+        grad_alpha = cotangent.sum(axis=1)
+        if p.lambda1 > 0.0:
+            grad_alpha += p.lambda1 * alpha_hub_deriv / n
+        grad[p.alpha] = grad_alpha
+    if p.net is not None:
+        grad_net = backward_batch(net, cache, cotangent.ravel())
+        if p.lambda2 > 0.0:
+            for h in p.network.hidden_weights:
+                grad_net[h] += (2.0 * p.lambda2 / p.hidden_count) * net_vector[h]
+        grad[p.net] = grad_net
+    return value, data_term, grad

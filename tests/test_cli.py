@@ -73,6 +73,14 @@ class TestSynth:
             capsys)
         assert code == 0 and status["n_periods"] == 3
 
+    @pytest.mark.parametrize("nonlinear", ["quadratic", "interaction"])
+    def test_nonlinear_kinds(self, tmp_path, capsys, nonlinear):
+        out = tmp_path / "p.csv"
+        code, status = run_json(["synth", "--output", str(out), "--seed", "2",
+                                 "--nonlinear", nonlinear, "--n-individuals", "3"], capsys)
+        assert code == 0 and status["n_individuals"] == 3
+        assert np.isfinite(_ingest_embedded(out).y).all()
+
     def test_invalid_dims_exit_code(self, tmp_path):
         assert run(["synth", "--output", str(tmp_path / "p.csv"),
                     "--n-individuals", "0"]) == 1
@@ -327,6 +335,14 @@ class TestGridSearch:
         doc = json.loads(art.read_text())
         assert doc["config"]["selected"]["n1"] == 2
 
+    def test_linear_kind_is_a_config_error(self, synth_csv, tmp_path, capsys):
+        art = tmp_path / "best.json"
+        capsys.readouterr()
+        assert run(["grid-search", "--input", str(synth_csv), "--output", str(art),
+                    "--kind", "linear", "--grid-n1", "2", *FAST_FLAGS]) == 1
+        assert capsys.readouterr().err == "error: grid search requires a network model kind\n"
+        assert not art.exists()
+
     def test_identical_reruns_identical_tables(self, synth_csv, tmp_path):
         tables = []
         for name in ("t1.csv", "t2.csv"):
@@ -545,6 +561,23 @@ class TestPredictEvaluate:
         assert run(argv) == 2
         err = capsys.readouterr().err
         assert "actual response is zero for (b, 2001); MAPE is undefined" in err
+
+    def test_evaluate_tau_without_rows_names_the_file(self, tmp_path, capsys):
+        argv = self.evaluate_2x2(tmp_path, [[100.0, 200.0], [50.0, 80.0]])
+        capsys.readouterr()
+        assert run([*argv, "--tau", "0.9"]) == 2
+        pred = argv[argv.index("--predictions") + 1]
+        assert capsys.readouterr().err == (
+            f"data error: {pred}: no prediction rows matched tau='0.9'\n")
+
+    def test_evaluate_actuals_lacking_a_period(self, tmp_path, capsys):
+        argv = self.evaluate_2x2(tmp_path, [[100.0, 200.0], [50.0, 80.0]])
+        pred = tmp_path / "pred.csv"
+        with open(pred, "a") as handle:
+            handle.write("a,2002,,1.0\nb,2002,,1.0\n")
+        capsys.readouterr()
+        assert run(argv) == 2
+        assert capsys.readouterr().err == "data error: actuals file lacks periods [2002]\n"
 
     def test_evaluate_misaligned_keys(self, synth_csv, tmp_path):
         pred = tmp_path / "pred.csv"

@@ -352,6 +352,96 @@ class TestKernelMatchesOracle:
         assert value_only[:2] == model._evaluate(problem, vector, 0.1, want_grad=True)[:2]
 
 
+ACTIVATIONS = ("elu", "sigmoid", "tanh", "softplus", "relu")
+
+
+@st.composite
+def fit_problems(draw):
+    """A fit problem of any kind, a packed vector and a smoothing threshold."""
+    kind = draw(st.sampled_from(list(ModelKind)))
+    n, t = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    q, p = draw(st.integers(0, 2)), draw(st.integers(1, 3))
+    spec = None
+    if kind.uses_network:
+        spec = NetworkSpec(p, draw(st.sampled_from([(3,), (4, 2)])),
+                           draw(st.sampled_from(ACTIVATIONS)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    ds = make_panel(rng.standard_normal((n, t)), rng.standard_normal((n, t, q)),
+                    rng.standard_normal((n, t, p)))
+    grid = draw(st.sampled_from([TauGrid.single(0.3), TauGrid.dense_grid()]))
+    pen = draw(st.sampled_from([PenaltyConfig(), PenaltyConfig(0.3, 0.2)]))
+    problem = model._Problem(ds, kind, grid, pen, spec)
+    vector = rng.standard_normal(problem.size) * draw(st.sampled_from([0.01, 1.0]))
+    return problem, vector, 2.0 ** draw(st.floats(-32.0, 0.0))
+
+
+def assert_same_evaluation(got, want):
+    """The same value, data term and gradient, bit for bit."""
+    value, data_term, gradient = want
+    assert (got.value, got.data_term) == (value, data_term)
+    if gradient is None:
+        assert got.gradient is None
+    else:
+        assert got.gradient.tobytes() == gradient.tobytes()
+
+
+class TestWorkspaceKernel:
+    """The kernel writes into the problem's workspace and returns what the
+    allocating kernel it replaced returned, to the bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(fit_problems(), st.booleans())
+    def test_same_bits_as_the_allocating_kernel(self, case, want_grad):
+        problem, vector, epsilon = case
+        got = model._evaluate(problem, vector, epsilon, want_grad=want_grad)
+        assert_same_evaluation(
+            got, objective_oracle.allocating_evaluate(problem, vector, epsilon, want_grad))
+
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_an_evaluation_survives_later_ones(self, rng, kind):
+        ds, spec = random_instance(rng, 4, 5, 2, 3)
+        problem = model._Problem(ds, kind, TauGrid.dense_grid(), PenaltyConfig(0.3, 0.2),
+                                 spec if kind.uses_network else None)
+        x1, x2 = rng.standard_normal((2, problem.size))
+        first = model._evaluate(problem, x1, 0.1, want_grad=True)
+        kept = first.gradient.copy()
+        model._evaluate(problem, x2, 0.1, want_grad=False)
+        second = model._evaluate(problem, x2, 0.1, want_grad=True)
+        # A later evaluation leaves an earlier gradient alone, and a caller's
+        # edits to a gradient reach no later evaluation.
+        assert first.gradient.tobytes() == kept.tobytes()
+        first.gradient[:] = np.nan
+        second.gradient[:] = np.nan
+        third = model._evaluate(problem, x1, 0.1, want_grad=True)
+        assert_same_evaluation(third, (first.value, first.data_term, kept))
+
+    def test_predict_panel_returns_a_fresh_array(self, rng):
+        ds, spec = random_instance(rng, 3, 4, 2, 2)
+        params = ModelParameters(rng.standard_normal(2), rng.standard_normal(3),
+                                 network.init_parameters(spec, 0))
+        first = predict_panel(params, ModelKind.PSQRNN, ds)
+        kept = first.copy()
+        second = predict_panel(params, ModelKind.PSQRNN, ds)
+        assert first is not second and not np.shares_memory(first, second)
+        second[:] = np.nan
+        assert np.array_equal(first, kept)
+        assert not any(np.shares_memory(first, a) for a in (ds.y, ds.z, ds.x))
+
+    def test_objective_gradient_returns_fresh_arrays(self, rng):
+        ds, spec = random_instance(rng, 3, 4, 2, 2)
+        params = ModelParameters(rng.standard_normal(2), rng.standard_normal(3),
+                                 network.init_parameters(spec, 0))
+        args = (params, ModelKind.PSQRNN, ds, TauGrid.dense_grid(), PenaltyConfig(0.3, 0.2), 0.1)
+        first, second = objective_gradient(*args), objective_gradient(*args)
+        first_arrays, second_arrays = blocks(first, ModelKind.PSQRNN), blocks(second, ModelKind.PSQRNN)
+        kept = [a.copy() for a in first_arrays]
+        for a in second_arrays:
+            a[...] = np.nan
+        assert all(np.array_equal(a, b) for a, b in zip(first_arrays, kept))
+        assert not any(np.shares_memory(a, b) for a in first_arrays
+                       for b in blocks(params, ModelKind.PSQRNN))
+
+
 class TestPermutationInvariance:
     """Reordering individuals, with their intercepts, changes nothing."""
 

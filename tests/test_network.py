@@ -23,9 +23,10 @@ def zeros(spec):
 def activate(x, kind, derivative=False):
     """The named activation, or its derivative, as the network applies it."""
     fn, dfn = net._ACTIVATIONS[kind]
-    x = np.asarray(x, dtype=float)
-    y = fn(x)
-    return dfn(x, y) if derivative else y
+    x = np.array(x, dtype=float)  # a copy: the activation may overwrite it
+    other = np.empty_like(x)
+    y = fn(x, other)
+    return dfn(other if y is x else x, y, np.empty_like(x)) if derivative else y
 
 
 def finite_diff_grad(params, x, cotangent, step=1e-6):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -648,6 +650,22 @@ class TestGenerateSynthetic:
     def test_interaction_needs_two_columns(self):
         with pytest.raises(ConfigError):
             SyntheticConfig(n_network=1, nonlinear="interaction")
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.sampled_from(["quadratic", "interaction"]), st.integers(2, 4),
+           st.floats(0.1, 5.0), st.integers(0, 2 ** 32 - 1))
+    def test_nonlinear_component_formulas(self, kind, p, scale, seed):
+        x = np.random.default_rng(seed).standard_normal((3, 4, p))
+        got = paneldata._nonlinear_component(kind, scale, x)
+        assert got.shape == (3, 4)
+        for i, j in np.ndindex(3, 4):
+            row = [float(v) for v in x[i, j]]
+            if kind == "quadratic":
+                s = sum(row) / math.sqrt(p)
+                want = scale * (s * s - 1.0) / math.sqrt(2.0)
+            else:
+                want = scale * row[0] * row[1]
+            assert got[i, j] == pytest.approx(want, rel=1e-12, abs=1e-12)
 
     def test_truth_alpha_recorded(self):
         ds, truth = generate_synthetic(SyntheticConfig(n_individuals=4, n_periods=3), 2)

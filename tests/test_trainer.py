@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from conftest import interval_distance, make_panel, quantile_interval
+from conftest import interval_distance, make_panel, quantile_interval, traced_peak
 from psqrnn import model, trainer
 from psqrnn.errors import ConfigError, DataError, TrainingError
 from psqrnn.losses import TauGrid
 from psqrnn.model import ModelKind, PenaltyConfig, objective, unpack_parameters
 from psqrnn.network import NetworkSpec
+from psqrnn.paneldata import SyntheticConfig, generate_synthetic
+from psqrnn.pipeline import prepare_scenario
 from psqrnn.trainer import (
     AnnealSchedule,
     TrainConfig,
@@ -252,6 +254,54 @@ class TestEvaluationBudget:
             assert len(record.objective_path) == record.iterations + 1
             assert (record.nfev, record.stop) == (stage.nfev, stage.message)
         assert result.final_objective == result.stage_trace[-1].objective
+
+
+class TestFitWorkspace:
+    """A fit's evaluations write into one workspace; what they return is the caller's."""
+
+    @pytest.mark.parametrize("kind", list(ModelKind))
+    def test_optimizer_keeps_every_gradient(self, rng, monkeypatch, kind):
+        # L-BFGS keeps the previous gradient beside the new one, and the
+        # stage keeps the accepted evaluation's.
+        ds = make_panel(rng.standard_normal((3, 6)), z=rng.standard_normal((3, 6, 1)),
+                        x=rng.standard_normal((3, 6, 2)))
+        minimize, kept = trainer.minimize, []
+
+        def keeping_minimize(fun, x0, **kwargs):
+            def keeping_fun(x):
+                value, gradient = fun(x)
+                kept.append((gradient, gradient.copy()))
+                return value, gradient
+            return minimize(keeping_fun, x0, **kwargs)
+
+        monkeypatch.setattr(trainer, "minimize", keeping_minimize)
+        fit(ds, kind, TauGrid.dense_grid(), PenaltyConfig(0.01, 0.01),
+            NetworkSpec(2, (3,)) if kind.uses_network else None,
+            TrainConfig(restarts=1, seed=0, max_iters_per_stage=5))
+        assert len(kept) > 10
+        assert all(np.array_equal(gradient, copy) for gradient, copy in kept)
+        assert not any(np.shares_memory(a, b) for (a, _), (b, _) in zip(kept, kept[1:]))
+
+    @pytest.fixture(scope="class")
+    def large_panel(self):
+        ds, _ = generate_synthetic(SyntheticConfig(n_individuals=1000, n_periods=40), 5)
+        return prepare_scenario(ds, 1).train
+
+    @pytest.mark.parametrize("kind, hidden, limit_mib", [
+        # Allocating each evaluation's (N, T) arrays peaked at 2.39 MiB; the
+        # workspace of four (N, T) float arrays and a mask takes 1.13 MiB.
+        (ModelKind.LINEAR, None, 1.6),
+        # Allocating the network's forward cache and backward temporaries
+        # peaked at 16.8 MiB; the workspace's (10 + 5) * 2 hidden rows take 8.0 MiB.
+        (ModelKind.PSQRNN, (10, 5), 12.0),
+    ])
+    def test_traced_peak_of_a_35k_row_fit(self, large_panel, kind, hidden, limit_mib):
+        spec = NetworkSpec(large_panel.p, hidden) if hidden else None
+        result, peak = traced_peak(lambda: fit(
+            large_panel, kind, TauGrid.dense_grid(), PenaltyConfig(0.005, 0.01), spec,
+            TrainConfig(restarts=1, max_iters_per_stage=1)))
+        assert large_panel.y.shape == (1000, 35) and np.isfinite(result.final_objective)
+        assert peak <= limit_mib * 2 ** 20
 
 
 class TestFitPerTau:
