@@ -22,6 +22,8 @@ from .model import ModelKind, ModelParameters
 from .network import NetworkParameters, NetworkSpec
 from .paneldata import PanelDataset, PanelSchema, StandardizationState
 
+#: Version of the fit artifact's format, which :func:`load` checks; the
+#: other documents the tool writes carry none.
 SCHEMA_VERSION = 2
 
 __all__ = [
@@ -68,7 +70,6 @@ def write_panel(dataset: PanelDataset, path, command: str, config: dict) -> None
     """Emit ``dataset`` behind a preamble naming its schema and the command that wrote it."""
     paneldata.emit(dataset, path, preamble=dump_json({
         "command": command, "config": config, "schema": asdict(dataset.schema()),
-        "schema_version": SCHEMA_VERSION,
     }, indent=None))
 
 
@@ -230,9 +231,10 @@ def load(path) -> FitArtifact:
 def predict(fitted: FitArtifact, panel: PanelDataset) -> list[np.ndarray]:
     """Each fit's (N, T) predictions for a panel, on the response's own scale.
 
-    ``panel`` is an unstandardized split panel, as
+    ``panel`` is an unstandardized split panel: the ``.train`` or ``.test``
+    of the ``PreparedScenario`` that
     ``pipeline.prepare_scenario(dataset, fitted.scenario, standardize=False)``
-    returns it; it is standardized with the saved state. Its individuals and
+    returns. It is standardized with the saved state. Its individuals and
     covariate columns must be those the artifact was fitted on.
     """
     if panel.individuals != fitted.individuals:

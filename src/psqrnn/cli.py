@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from . import artifact, metrics, paneldata, pipeline, selection
-from .artifact import SCHEMA_VERSION, dump_json
+from .artifact import dump_json
 from .errors import ConfigError, DataError, TrainingError
 from .losses import TauGrid
 from .model import ModelKind, PenaltyConfig
@@ -160,8 +160,7 @@ def cmd_synth(args) -> int:
     artifact.write_panel(dataset, args.output, "synth", echo)
     if args.truth_output:
         artifact.write_json(args.truth_output, {
-            "schema_version": SCHEMA_VERSION, "command": "synth", "config": echo,
-            "truth": asdict(truth),
+            "command": "synth", "config": echo, "truth": asdict(truth),
         })
     print(dump_json({"written": args.output, "n_individuals": dataset.n_individuals,
                      "n_periods": dataset.n_periods}))
@@ -328,7 +327,7 @@ def cmd_evaluate(args) -> int:
         "output": args.output, "series_output": args.series_output, "tau": args.tau,
     }
     document = {
-        "schema_version": SCHEMA_VERSION, "command": "evaluate", "config": config,
+        "command": "evaluate", "config": config,
         "individuals": individuals, "periods": periods,
         "report": rep.to_dict(),
     }

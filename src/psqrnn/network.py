@@ -7,7 +7,7 @@ would not be identifiable against them.
 """
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -16,7 +16,6 @@ from .errors import ConfigError
 __all__ = [
     "NetworkSpec",
     "NetworkParameters",
-    "NetworkViews",
     "FlatLayout",
     "Workspace",
     "init_parameters",
@@ -188,18 +187,6 @@ def init_parameters(spec: NetworkSpec, seed: int) -> NetworkParameters:
     return NetworkParameters(spec, weights, biases)
 
 
-class NetworkViews(NamedTuple):
-    """Weights and biases of one spec read in place from a flat vector.
-
-    Quacks like :class:`NetworkParameters` for :func:`forward_batch` and
-    :func:`backward_batch`, but is built without copies or validation.
-    """
-
-    spec: NetworkSpec
-    weights: list
-    biases: list
-
-
 class FlatLayout:
     """Where :func:`flatten` puts each weight matrix and bias vector of a spec.
 
@@ -224,9 +211,9 @@ class FlatLayout:
         #: Positions of the L2-penalized hidden-layer matrices.
         self.hidden_weights = tuple(s for s, _ in self._weights[:-1])
 
-    def views(self, vector: np.ndarray) -> NetworkViews:
-        """The parameters held in ``vector`` (length ``size``), as views of it."""
-        return NetworkViews(
+    def views(self, vector: np.ndarray) -> NetworkParameters:
+        """The parameters held in ``vector`` (length ``size``), whose arrays are views of it."""
+        return NetworkParameters(
             self.spec,
             [vector[s].reshape(shape, order="F") for s, shape in self._weights],
             [vector[s] for s in self._biases],
@@ -262,7 +249,7 @@ def forward_batch(params, x: np.ndarray, *, work: Optional[Workspace] = None):
 
     Parameters
     ----------
-    params : NetworkParameters or NetworkViews
+    params : NetworkParameters
     x : ndarray, shape (n, input_dim)
     work : Workspace, optional
         Buffers for n rows that the output and the cache are written into;
@@ -364,7 +351,4 @@ def unflatten(vector: np.ndarray, spec: NetworkSpec) -> NetworkParameters:
         raise ValueError(
             f"vector has length {vector.size}, spec needs {spec.parameter_count}"
         )
-    views = FlatLayout(spec).views(vector)
-    return NetworkParameters(
-        spec, [w.copy() for w in views.weights], [b.copy() for b in views.biases]
-    )
+    return FlatLayout(spec).views(vector).copy()

@@ -497,21 +497,8 @@ def impute_mean(dataset: PanelDataset) -> PanelDataset:
     variable's global mean. Observed cells are never altered; the operation
     is idempotent and clears the mask.
     """
-    out = dataset.copy()
-    for name, fill in _mean_fills(dataset).items():
-        values, mask = dataset.column(name)
-        _write_column(out, name, np.where(mask, fill[:, None], values))
-    out.missing_mask = np.zeros_like(out.missing_mask)
-    return out
-
-
-def _write_column(dataset: PanelDataset, name: str, values: np.ndarray) -> None:
-    if name == dataset.response_name:
-        dataset.y = values
-    if name in dataset.z_names:
-        dataset.z[:, :, dataset.z_names.index(name)] = values
-    if name in dataset.x_names:
-        dataset.x[:, :, dataset.x_names.index(name)] = values
+    identity = [(s, s) for s in range(dataset.n_periods)]
+    return _gather(dataset, identity, 0, _mean_fills(dataset))
 
 
 @dataclass(frozen=True)
@@ -618,11 +605,11 @@ class ScenarioSplit:
     train_times: tuple[tuple[int, int], ...]
     test_times: tuple[tuple[int, int], ...]
 
-    def train_time_pairs(self) -> list[tuple[int, int]]:
-        return list(self.train_times)
-
-    def test_time_pairs(self) -> list[tuple[int, int]]:
-        return list(self.test_times)
+    def times(self, subset: str) -> tuple[tuple[int, int], ...]:
+        """The (feature, target) time pairs of the "train" or "test" panel."""
+        if subset not in ("train", "test"):
+            raise ConfigError(f"subset must be 'train' or 'test', got {subset!r}")
+        return self.train_times if subset == "train" else self.test_times
 
     @property
     def train_pairs(self) -> tuple[tuple[int, int, int], ...]:
@@ -684,23 +671,20 @@ def materialize_split(dataset: PanelDataset, split: ScenarioSplit,
     part gains a lagged-response column when the split asks for it. Future
     targets (scenario 3 test) carry a masked NaN response.
     """
-    return _gather(dataset, split, subset, None)
+    return _gather(dataset, split.times(subset), split.lag, None)
 
 
-def _gather(dataset: PanelDataset, split: ScenarioSplit, subset: str,
+def _gather(dataset: PanelDataset, time_pairs, lag: int,
             fills: Optional[dict]) -> PanelDataset:
-    """:func:`materialize_split`, each of whose columns is gathered once from ``dataset``.
+    """The panel of ``time_pairs``, each of whose columns is gathered once from ``dataset``.
 
-    With ``fills`` (see :func:`_mean_fills`) the result is that of
-    :func:`impute_mean` followed by :func:`materialize_split`, without the
-    imputed copy of the whole panel: each masked cell takes its individual's
-    fill as it is gathered, and only future targets stay masked. (A column
-    that feeds both parts must hold the same cells in both, as :func:`ingest`
-    reads it.)
+    Each (feature, target) pair of time indices is a period of the result,
+    as in :func:`materialize_split`; a ``lag`` above 0 adds the feature
+    period's response to the network part. With ``fills`` (see
+    :func:`_mean_fills`) each masked cell takes its individual's fill as it
+    is gathered, and only future targets stay masked. (A column that feeds
+    both parts must hold the same cells in both, as :func:`ingest` reads it.)
     """
-    if subset not in ("train", "test"):
-        raise ConfigError(f"subset must be 'train' or 'test', got {subset!r}")
-    time_pairs = split.train_time_pairs() if subset == "train" else split.test_time_pairs()
     n, t, q, p = dataset.n_individuals, dataset.n_periods, dataset.q, dataset.p
     h = len(time_pairs)
     feature_times = [tf for tf, _ in time_pairs]
@@ -711,7 +695,7 @@ def _gather(dataset: PanelDataset, split: ScenarioSplit, subset: str,
         for _, tt in time_pairs
     )
 
-    p_extra = 1 if split.augment_with_lagged_response else 0
+    p_extra = 1 if lag else 0
     y = np.empty((n, h))
     z = np.empty((n, h, q))
     x = np.empty((n, h, p + p_extra))
@@ -736,7 +720,7 @@ def _gather(dataset: PanelDataset, split: ScenarioSplit, subset: str,
     y[:, future] = np.nan
     mask[:, future, 0] = True
     x_names = dataset.x_names + (
-        (f"{dataset.response_name}_lag{split.lag}",) if p_extra else ()
+        (f"{dataset.response_name}_lag{lag}",) if p_extra else ()
     )
     return PanelDataset(
         dataset.individuals, period_labels, y, z, x, mask,

@@ -71,7 +71,8 @@ def _split_panels(dataset: PanelDataset, scenario: int, subsets) -> tuple:
     """The scenario's split and its imputed, unstandardized panels named in ``subsets``."""
     fills = paneldata._mean_fills(dataset)
     split = paneldata.scenario_split(dataset, scenario)
-    return split, [paneldata._gather(dataset, split, subset, fills) for subset in subsets]
+    return split, [paneldata._gather(dataset, split.times(subset), split.lag, fills)
+                   for subset in subsets]
 
 
 @dataclass

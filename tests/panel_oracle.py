@@ -6,7 +6,7 @@ These are the original per-row parsers, per-cell writer and per-individual
 imputation. The package works on panels a column at a time; the tests hold
 these as oracles that the columnar code must match: the same dataset, the
 same error message and the same output bytes, and imputed means equal up to
-summation order.
+summation order (bit for bit where the oracle sums as the package does).
 """
 
 import csv
@@ -21,8 +21,6 @@ from psqrnn.paneldata import (
     PanelDataset,
     PanelSchema,
     StandardizationState,
-    _write_column,
-    impute_mean,
     scenario_split,
 )
 
@@ -223,8 +221,21 @@ def emit_cellwise(dataset: PanelDataset, path, delimiter: str = ",",
                 handle.write(text)
 
 
-def impute_mean_rowwise(dataset: PanelDataset) -> PanelDataset:
-    """Reference imputation: one observed mean per individual and variable."""
+def _write_column(dataset: PanelDataset, name: str, values: np.ndarray) -> None:
+    if name == dataset.response_name:
+        dataset.y = values
+    if name in dataset.z_names:
+        dataset.z[:, :, dataset.z_names.index(name)] = values
+    if name in dataset.x_names:
+        dataset.x[:, :, dataset.x_names.index(name)] = values
+
+
+def _impute_each_row(dataset: PanelDataset, row_mean) -> PanelDataset:
+    """Fill masked cells one individual and one variable at a time.
+
+    An individual's fill is ``row_mean(row, observed)`` of its row of the
+    variable, or the variable's observed mean where it has none observed.
+    """
     out = dataset.copy()
     for name in dataset.physical_names():
         values, mask = out.column(name)
@@ -240,11 +251,26 @@ def impute_mean_rowwise(dataset: PanelDataset) -> PanelDataset:
             if not row_mask.any():
                 continue
             row_obs = observed[i]
-            fill = float(values[i][row_obs].mean()) if row_obs.any() else global_mean
+            fill = float(row_mean(values[i], row_obs)) if row_obs.any() else global_mean
             filled[i, row_mask] = fill
         _write_column(out, name, filled)
     out.missing_mask = np.zeros_like(out.missing_mask)
     return out
+
+
+def impute_mean_rowwise(dataset: PanelDataset) -> PanelDataset:
+    """Reference imputation: one observed mean per individual and variable."""
+    return _impute_each_row(dataset, lambda row, observed: row[observed].mean())
+
+
+def impute_mean_rowsum(dataset: PanelDataset) -> PanelDataset:
+    """Reference imputation in the package's arithmetic, so with its bits.
+
+    An individual's fill is its whole row summed with masked cells as 0,
+    over its observed count.
+    """
+    return _impute_each_row(
+        dataset, lambda row, observed: np.where(observed, row, 0.0).sum() / observed.sum())
 
 
 def materialize_pairwise(dataset: PanelDataset, split, subset: str) -> PanelDataset:
@@ -323,7 +349,7 @@ def prepare_chain(dataset: PanelDataset, scenario: int, standardize: bool = True
     The whole panel is imputed into a copy, each split panel is gathered
     from that copy, and each is standardized into another copy.
     """
-    imputed = impute_mean(dataset)
+    imputed = impute_mean_rowsum(dataset)
     split = scenario_split(imputed, scenario)
     train = materialize_pairwise(imputed, split, "train")
     test = materialize_pairwise(imputed, split, "test")

@@ -11,13 +11,19 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import traced_peak
+from conftest import assert_datasets_equal, traced_peak
 from panel_oracle import read_predictions_rowwise
 from psqrnn import artifact, cli, paneldata
 from psqrnn.artifact import embedded_schema
 from psqrnn.losses import TauGrid
 from psqrnn.model import ModelKind, PenaltyConfig
-from psqrnn.paneldata import PanelDataset, SyntheticConfig, emit, generate_synthetic
+from psqrnn.paneldata import (
+    PanelDataset,
+    SyntheticConfig,
+    emit,
+    generate_synthetic,
+    scenario_split,
+)
 from psqrnn.pipeline import evaluate_split, prepare_scenario, train_model
 from psqrnn.trainer import AnnealSchedule, TrainConfig
 
@@ -191,6 +197,14 @@ class TestTrain:
         assert len(doc["fits"]) == 1
         assert doc["fits"][0]["params"]["net"] is not None
         assert len(doc["fits"][0]["taus"]) == 3
+
+    def test_quantile_level_outside_the_unit_interval_is_a_usage_error(self, synth_csv,
+                                                                      tmp_path, capsys):
+        capsys.readouterr()
+        assert run(["train", "--input", str(synth_csv), "--output", str(tmp_path / "f.json"),
+                    "--taus", "1.5"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: every quantile level must lie in (0, 1), got (1.5,)\n"
 
     def test_linear_kind_has_no_network(self, synth_csv, tmp_path):
         art = tmp_path / "fit.json"
@@ -652,17 +666,47 @@ class TestPredictGathersOnePanel:
         artifact.write_panel(ds, panel, "synth", {})
         assert run(["train", "--input", str(panel), "--output", str(art), "--kind", "linear",
                     "--taus", "0.5", "--scenario", str(scenario), *FAST_FLAGS]) == 0
+        times = scenario_split(ds, scenario).times(which)
         gathered = []
         gather = paneldata._gather
-        monkeypatch.setattr(paneldata, "_gather", lambda *args: gathered.append(args[2])
+        monkeypatch.setattr(paneldata, "_gather", lambda *args: gathered.append(args[1])
                             or gather(*args))
         assert run(["predict", "--artifact", str(art), "--input", str(panel),
                     "--output", str(pred), "--which", which]) == 0
-        assert gathered == [which]
+        assert gathered == [times]
         raw = prepare_scenario(_ingest_embedded(panel), scenario, standardize=False)
         want = artifact.predict(artifact.load(art), getattr(raw, which))[0]
         rows = list(csv.reader(pred.read_text().splitlines()[2:]))
         assert [float(r[3]) for r in rows] == want.ravel().tolist()
+
+
+class TestOnlyTheArtifactIsVersioned:
+    """``schema_version`` labels the fit artifact, the one document whose reader checks it."""
+
+    def test_other_documents_carry_none(self, tmp_path):
+        panel, truth, clean = tmp_path / "panel.csv", tmp_path / "truth.json", tmp_path / "c.csv"
+        art, pred, report = tmp_path / "fit.json", tmp_path / "pred.csv", tmp_path / "r.json"
+        assert run(["synth", "--output", str(panel), "--truth-output", str(truth),
+                    "--seed", "4", "--n-individuals", "4", "--n-periods", "12"]) == 0
+        assert run(["ingest", "--input", str(panel), "--output", str(clean)]) == 0
+        assert run(["train", "--input", str(clean), "--output", str(art), "--kind", "linear",
+                    *FAST_FLAGS]) == 0
+        assert run(["predict", "--artifact", str(art), "--input", str(clean),
+                    "--output", str(pred)]) == 0
+        assert run(["evaluate", "--predictions", str(pred), "--actuals", str(clean),
+                    "--output", str(report)]) == 0
+        assert json.loads(art.read_text())["schema_version"] == 2
+        preambles = [json.loads(path.read_text().splitlines()[0][2:]) for path in (panel, clean)]
+        for document in [json.loads(truth.read_text()), json.loads(report.read_text()),
+                         *preambles]:
+            assert "command" in document and "schema_version" not in document
+
+    def test_a_preamble_that_still_holds_one_reads_the_same(self, synth_csv, tmp_path):
+        first, rest = synth_csv.read_text().split("\n", 1)
+        preamble = json.loads(first[2:])
+        older = tmp_path / "older.csv"
+        older.write_text("# " + json.dumps({**preamble, "schema_version": 2}) + "\n" + rest)
+        assert_datasets_equal(_ingest_embedded(older), _ingest_embedded(synth_csv))
 
 
 class TestDamagedPreamble:

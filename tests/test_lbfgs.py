@@ -92,6 +92,16 @@ class TestStops:
         assert result.message == lbfgs.PGTOL_MESSAGE
         assert np.array_equal(result.x, solution) and len(calls) == 1
 
+    def test_evaluation_limit_stops_after_the_iteration_that_passes_it(self, monkeypatch):
+        monkeypatch.setattr(lbfgs, "_MAX_EVALUATIONS", 2)
+        fun, _ = quadratic()
+        path = []
+        result = lbfgs.minimize(fun, np.zeros(12), maxiter=500, gtol=1e-10,
+                                callback=lambda x, f: path.append(f))
+        assert (result.status, result.message) == (1, lbfgs.MAXFUN_MESSAGE)
+        assert result.nfev > 2 and result.nit == len(path)
+        assert result.fun == path[-1] == fun(result.x)[0]
+
     def test_failed_line_search_stops_at_the_last_iterate(self, monkeypatch):
         # With the gradient's sign flipped, -g climbs: every trial point is
         # worse than the start, and the line search gives up after 20 tries.

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import interval_distance, make_panel, quantile_interval, traced_peak
-from psqrnn import model, trainer
+from psqrnn import lbfgs, model, trainer
 from psqrnn.errors import ConfigError, DataError, TrainingError
 from psqrnn.losses import TauGrid
 from psqrnn.model import ModelKind, PenaltyConfig, objective, unpack_parameters
@@ -188,6 +188,12 @@ class TestConvergence:
         for record in result.stage_trace:
             assert record.iterations == 1
             assert "ITERATIONS REACHED LIMIT" in record.stop
+
+    def test_evaluation_limit_is_not_convergence(self, rng, monkeypatch):
+        monkeypatch.setattr(lbfgs, "_MAX_EVALUATIONS", 2)
+        result = self.linear_fit(rng, TrainConfig().max_iters_per_stage)
+        assert not result.converged
+        assert result.stage_trace[-1].stop == lbfgs.MAXFUN_MESSAGE
 
 
 class TestEvaluationBudget:
