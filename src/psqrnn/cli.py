@@ -9,6 +9,7 @@ byte-for-byte. Exit status: 0 success, 1 usage error, 2 data error,
 import argparse
 import csv
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict, replace
 from typing import Optional
 
@@ -35,22 +36,21 @@ def _resolve_schema(path: str, args) -> PanelSchema:
     """Explicit schema flags beat an embedded schema, which beats the default."""
     base = artifact.embedded_schema(path) or DEFAULT_SCHEMA
     overrides = {}
-    if getattr(args, "individual_col", None):
+    if args.individual_col:
         overrides["individual"] = args.individual_col
-    if getattr(args, "period_col", None):
+    if args.period_col:
         overrides["period"] = args.period_col
-    if getattr(args, "response", None):
+    if args.response:
         overrides["response"] = args.response
-    if getattr(args, "parametric", None):
+    if args.parametric:
         overrides["parametric"] = tuple(args.parametric.split(","))
-    if getattr(args, "network", None):
+    if args.network:
         overrides["network"] = tuple(args.network.split(","))
     return replace(base, **overrides)
 
 
 def _load_dataset(path: str, args) -> PanelDataset:
-    schema = _resolve_schema(path, args)
-    return paneldata.ingest(path, schema, delimiter=getattr(args, "delimiter", ","))
+    return paneldata.ingest(path, _resolve_schema(path, args), delimiter=args.delimiter)
 
 
 def _parse_taus(text: Optional[str], kind: ModelKind) -> TauGrid:
@@ -65,67 +65,22 @@ def _parse_taus(text: Optional[str], kind: ModelKind) -> TauGrid:
     return TauGrid.equally_spaced(count)
 
 
-def _parse_float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(part) for part in text.split(","))
+def _comma_list(convert):
+    """An argparse ``type`` that reads a comma list into a tuple of ``convert`` values."""
+    def parse(text: str) -> tuple:
+        return tuple(convert(part) for part in text.split(","))
+    parse.__name__ = f"comma list of {convert.__name__}"  # argparse's error names it
+    return parse
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in text.split(","))
-
-
-# ---------------------------------------------------------------------------
-# Train/grid-search configuration echo
-# ---------------------------------------------------------------------------
-
-def _run_config(args, command: str, grid: TauGrid) -> dict:
-    config = {
-        "command": command,
-        "input": args.input,
-        "output": args.output,
-        "scenario": args.scenario,
-        "kind": args.kind,
-        "taus": list(grid.taus),
-        "tau_weights": list(grid.weights),
-        "hidden": list(_parse_int_list(args.hidden)),
-        "activation": args.activation,
-        "lambda1": args.lambda1,
-        "lambda2": args.lambda2,
-        "restarts": args.restarts,
-        "seed": args.seed,
-        "standardize": not args.no_standardize,
-        "eps_start": args.eps_start,
-        "eps_end": args.eps_end,
-        "eps_factor": args.eps_factor,
-        "max_iters": args.max_iters,
-        "grad_tol": args.grad_tol,
-        "per_tau": bool(getattr(args, "per_tau", False)),
-    }
-    if command == "grid-search":
-        config.update({
-            "grid_n1": list(_parse_int_list(args.grid_n1)),
-            "grid_n2": list(_parse_int_list(args.grid_n2)) if args.grid_n2 else None,
-            "grid_lambda1": list(_parse_float_list(args.grid_lambda1)),
-            "grid_lambda2": list(_parse_float_list(args.grid_lambda2)),
-            "table_output": args.table_output,
-        })
-    return config
-
-
-def _train_config_from(config: dict) -> TrainConfig:
-    return TrainConfig(
-        schedule=AnnealSchedule(config["eps_start"], config["eps_end"], config["eps_factor"]),
-        restarts=config["restarts"],
-        max_iters_per_stage=config["max_iters"],
-        grad_tol=config["grad_tol"],
-        seed=config["seed"],
-    )
-
-
-def _net_spec_for(kind: ModelKind, hidden: tuple[int, ...], activation: str,
-                  input_dim: int) -> Optional[NetworkSpec]:
-    if not kind.uses_network:
-        return None
-    return NetworkSpec(input_dim=input_dim, hidden_sizes=hidden, activation=activation)
+@contextmanager
+def _open_csv(path: str, document: dict, header: list[str]):
+    """Open a CSV output whose first lines are ``# {document}`` and the header row."""
+    preamble = "# " + dump_json(document, indent=None) + "\n"
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        handle.write(preamble)
+        csv.writer(handle).writerow(header)
+        yield handle
 
 
 # ---------------------------------------------------------------------------
@@ -167,23 +122,53 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _prepare_and_train(args, command: str):
-    dataset = _load_dataset(args.input, args)
+def _fit_settings(args, command: str):
+    """Model kind, quantile grid, config echo and training settings, from the flags alone."""
     kind = ModelKind(args.kind)
     grid = _parse_taus(args.taus, kind)
-    config = _run_config(args, command, grid)
-    prepared = pipeline.prepare_scenario(dataset, args.scenario,
+    config = {
+        "command": command,
+        "input": args.input,
+        "output": args.output,
+        "scenario": args.scenario,
+        "kind": args.kind,
+        "taus": list(grid.taus),
+        "tau_weights": list(grid.weights),
+        "hidden": list(args.hidden),
+        "activation": args.activation,
+        "lambda1": args.lambda1,
+        "lambda2": args.lambda2,
+        "restarts": args.restarts,
+        "seed": args.seed,
+        "standardize": not args.no_standardize,
+        "eps_start": args.eps_start,
+        "eps_end": args.eps_end,
+        "eps_factor": args.eps_factor,
+        "max_iters": args.max_iters,
+        "grad_tol": args.grad_tol,
+        "per_tau": bool(getattr(args, "per_tau", False)),
+    }
+    train_config = TrainConfig(
+        schedule=AnnealSchedule(args.eps_start, args.eps_end, args.eps_factor),
+        restarts=args.restarts, max_iters_per_stage=args.max_iters,
+        grad_tol=args.grad_tol, seed=args.seed,
+    )
+    return kind, grid, config, train_config
+
+
+def _prepare(args, kind: ModelKind):
+    """The prepared scenario of ``--input``, and the network sized to its inputs."""
+    prepared = pipeline.prepare_scenario(_load_dataset(args.input, args), args.scenario,
                                          standardize=not args.no_standardize)
-    spec = _net_spec_for(kind, _parse_int_list(args.hidden), args.activation,
-                         prepared.train.p)
-    penalties = PenaltyConfig(args.lambda1, args.lambda2)
-    train_config = _train_config_from(config)
-    return kind, grid, config, prepared, spec, penalties, train_config
+    spec = (NetworkSpec(prepared.train.p, args.hidden, args.activation)
+            if kind.uses_network else None)
+    return prepared, spec
 
 
 def cmd_train(args) -> int:
-    kind, grid, config, prepared, spec, penalties, train_config = _prepare_and_train(
-        args, "train")
+    kind, grid, config, train_config = _fit_settings(args, "train")
+    penalties = PenaltyConfig(args.lambda1, args.lambda2)
+    prepared, spec = _prepare(args, kind)
     trained = pipeline.train_model(prepared, kind, grid, penalties, spec, train_config,
                                    per_tau=args.per_tau)
     artifact.save(trained, args.output, "train", config)
@@ -195,23 +180,26 @@ def cmd_train(args) -> int:
 
 
 def cmd_grid_search(args) -> int:
-    kind, grid, config, prepared, spec, penalties, train_config = _prepare_and_train(
-        args, "grid-search")
-    if spec is None:
+    kind, grid, config, train_config = _fit_settings(args, "grid-search")
+    if not kind.uses_network:
         raise ConfigError("grid search requires a network model kind")
-    search = SearchGrid(
-        n1_values=_parse_int_list(args.grid_n1),
-        n2_values=_parse_int_list(args.grid_n2) if args.grid_n2 else None,
-        lambda1_values=_parse_float_list(args.grid_lambda1),
-        lambda2_values=_parse_float_list(args.grid_lambda2),
-    )
+    PenaltyConfig(args.lambda1, args.lambda2)  # only echoed here, but checked as in train
+    search = SearchGrid(n1_values=args.grid_n1, n2_values=args.grid_n2,
+                        lambda1_values=args.grid_lambda1, lambda2_values=args.grid_lambda2)
+    config.update({
+        "grid_n1": list(search.n1_values),
+        "grid_n2": None if search.n2_values is None else list(search.n2_values),
+        "grid_lambda1": list(search.lambda1_values),
+        "grid_lambda2": list(search.lambda2_values),
+        "table_output": args.table_output,
+    })
+    prepared, spec = _prepare(args, kind)
     result = selection.grid_search(prepared.train, kind, grid, search, spec, train_config)
     if args.table_output:
-        with open(args.table_output, "w", encoding="utf-8", newline="") as handle:
-            handle.write("# " + dump_json({"command": "grid-search", "config": config},
-                                          indent=None) + "\n")
+        with _open_csv(args.table_output, {"command": "grid-search", "config": config},
+                       ["n1", "n2", "lambda1", "lambda2", "avg_loss", "bic", "status"]
+                       ) as handle:
             writer = csv.writer(handle)
-            writer.writerow(["n1", "n2", "lambda1", "lambda2", "avg_loss", "bic", "status"])
             for point in result.table:
                 writer.writerow([
                     point.n1, "" if point.n2 is None else point.n2,
@@ -245,15 +233,14 @@ def cmd_predict(args) -> int:
     _, (panel,) = pipeline._split_panels(dataset, scenario, (args.which,))
     predictions = artifact.predict(fitted, panel)
     labels = paneldata._csv_fields(panel.individuals)
-    with open(args.output, "w", encoding="utf-8", newline="") as handle:
-        handle.write("# " + dump_json({
-            "command": "predict", "config": {
-                "artifact": args.artifact, "input": args.input, "output": args.output,
-                "scenario": scenario, "which": args.which,
-            },
-            "source_config": fitted.config,
-        }, indent=None) + "\n")
-        csv.writer(handle).writerow(_PREDICTION_COLUMNS)
+    document = {
+        "command": "predict", "config": {
+            "artifact": args.artifact, "input": args.input, "output": args.output,
+            "scenario": scenario, "which": args.which,
+        },
+        "source_config": fitted.config,
+    }
+    with _open_csv(args.output, document, _PREDICTION_COLUMNS) as handle:
         for tau_label, pred in zip(fitted.tau_labels, predictions):
             paneldata._write_rows(handle, labels, panel.periods, [tau_label, (pred, None)])
     print(dump_json({"written": args.output, "rows": sum(pred.size for pred in predictions)}))
@@ -334,10 +321,8 @@ def cmd_evaluate(args) -> int:
     if args.output:
         artifact.write_json(args.output, document)
     if args.series_output:
-        with open(args.series_output, "w", encoding="utf-8", newline="") as handle:
-            handle.write("# " + dump_json({"command": "evaluate", "config": config},
-                                          indent=None) + "\n")
-            csv.writer(handle).writerow(["individual", "period", "actual", "predicted"])
+        with _open_csv(args.series_output, {"command": "evaluate", "config": config},
+                       ["individual", "period", "actual", "predicted"]) as handle:
             paneldata._write_rows(handle, paneldata._csv_fields(individuals), periods,
                                   [(act, None), (pred, None)])
     print(dump_json({"total_mape": rep.total_mape, "total_rrmse": rep.total_rrmse,
@@ -369,7 +354,8 @@ def _add_train_flags(parser) -> None:
     parser.add_argument("--scenario", type=int, choices=(1, 2, 3), default=1)
     parser.add_argument("--kind", choices=[k.value for k in ModelKind], default="psqrnn")
     parser.add_argument("--taus", help="quantile grid: a count or a comma list")
-    parser.add_argument("--hidden", default="10,5", help="hidden sizes n1[,n2]")
+    parser.add_argument("--hidden", type=_comma_list(int), default="10,5",
+                        help="hidden sizes n1[,n2]")
     parser.add_argument("--activation", default="elu",
                         choices=("elu", "sigmoid", "tanh", "softplus", "relu"))
     parser.add_argument("--lambda1", type=float, default=0.005,
@@ -427,10 +413,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("grid-search", help="exhaustive BIC search over hyperparameters")
     _add_train_flags(p)
-    p.add_argument("--grid-n1", required=True, help="comma list of first-layer sizes")
-    p.add_argument("--grid-n2", help="comma list of second-layer sizes")
-    p.add_argument("--grid-lambda1", default="0.005", help="comma list of L1 strengths")
-    p.add_argument("--grid-lambda2", default="0.01", help="comma list of L2 strengths")
+    p.add_argument("--grid-n1", type=_comma_list(int), required=True,
+                   help="comma list of first-layer sizes")
+    p.add_argument("--grid-n2", type=_comma_list(int), help="comma list of second-layer sizes")
+    p.add_argument("--grid-lambda1", type=_comma_list(float), default="0.005",
+                   help="comma list of L1 strengths")
+    p.add_argument("--grid-lambda2", type=_comma_list(float), default="0.01",
+                   help="comma list of L2 strengths")
     p.add_argument("--table-output", help="write the full search table (CSV)")
     p.set_defaults(func=cmd_grid_search)
 
@@ -463,9 +452,6 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2

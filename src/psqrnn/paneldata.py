@@ -593,13 +593,13 @@ class ScenarioSplit:
 
     Each time pair is (feature time index, target time index), and every
     individual of the panel takes every pair. Target indices at or beyond
-    the panel length denote future periods (scenario 3 test targets). With
-    lag 5 the network part is augmented with the feature-period response.
+    the panel length denote future periods (scenario 3 test targets). The
+    target lies ``lag`` periods after the feature, and with a lag above 0
+    the gathered network part gains the feature-period response.
     """
 
     scenario: int
     lag: int
-    augment_with_lagged_response: bool
     future_targets: bool
     n_individuals: int
     train_times: tuple[tuple[int, int], ...]
@@ -639,7 +639,7 @@ def scenario_split(dataset: PanelDataset, scenario: int) -> ScenarioSplit:
             raise DataError(f"scenario 1 needs at least {HORIZON + 1} periods, got {t}")
         train = [(tt, tt) for tt in range(t - HORIZON)]
         test = [(tt, tt) for tt in range(t - HORIZON, t)]
-        lag, augment, future = 0, False, False
+        lag, future = 0, False
     elif scenario in (2, 3):
         minimum = 2 * LAG + HORIZON
         if t < minimum:
@@ -652,12 +652,11 @@ def scenario_split(dataset: PanelDataset, scenario: int) -> ScenarioSplit:
             train = [(tf, tf + LAG) for tf in range(t - 2 * LAG - HORIZON, t - LAG)]
             test = [(tf, tf + LAG) for tf in range(t - LAG, t)]
             future = True
-        lag, augment = LAG, True
+        lag = LAG
     else:
         raise ConfigError(f"scenario must be 1, 2, or 3, got {scenario!r}")
     return ScenarioSplit(
-        scenario=scenario, lag=lag, augment_with_lagged_response=augment,
-        future_targets=future, n_individuals=dataset.n_individuals,
+        scenario=scenario, lag=lag, future_targets=future, n_individuals=dataset.n_individuals,
         train_times=tuple(train), test_times=tuple(test),
     )
 

@@ -281,7 +281,7 @@ def materialize_pairwise(dataset: PanelDataset, split, subset: str) -> PanelData
     h = len(time_pairs)
     period_labels = tuple(dataset.periods[tt] if tt < t else dataset.periods[-1] + (tt - t + 1)
                           for _, tt in time_pairs)
-    p_extra = 1 if split.augment_with_lagged_response else 0
+    p_extra = 1 if split.scenario in (2, 3) else 0
     y = np.full((n, h), np.nan)
     z = np.empty((n, h, q))
     x = np.empty((n, h, p + p_extra))

@@ -291,6 +291,41 @@ class TestTrain:
                     "--lambda2", "1e308", *FAST_FLAGS]) == 3
 
 
+class TestFlagsBeforeFiles:
+    """Flags that need no data are checked before the input is read."""
+
+    @pytest.mark.parametrize("flags, message", [
+        (["train", "--restarts", "0"], "error: restarts must be >= 1, got 0\n"),
+        (["train", "--taus", "1.5"],
+         "error: every quantile level must lie in (0, 1), got (1.5,)\n"),
+        (["train", "--hidden", "1,a"],
+         "error: argument --hidden: invalid comma list of int value: '1,a'\n"),
+        (["grid-search", "--kind", "linear", "--grid-n1", "2"],
+         "error: grid search requires a network model kind\n"),
+        (["grid-search", "--grid-n1", "2", "--grid-lambda1=-1"],
+         "error: lambda1 must be a finite nonnegative real, got -1.0\n"),
+        (["grid-search", "--grid-n1", "2", "--grid-n2", ""],
+         "error: argument --grid-n2: invalid comma list of int value: ''\n"),
+    ], ids=["restarts", "taus", "hidden", "linear-grid", "grid-lambda1", "empty-grid-n2"])
+    def test_bad_flag_is_reported_before_a_missing_input(self, tmp_path, capsys, monkeypatch,
+                                                          flags, message):
+        def no_ingest(*args, **kwargs):
+            raise AssertionError("read the input before the flags were checked")
+
+        monkeypatch.setattr(paneldata, "ingest", no_ingest)
+        capsys.readouterr()
+        assert run([*flags, "--input", str(tmp_path / "absent.csv"),
+                    "--output", str(tmp_path / "f.json")]) == 1
+        assert capsys.readouterr().err == message
+
+    def test_csv_output_whose_preamble_fails_is_not_created(self, tmp_path):
+        path = tmp_path / "out.csv"
+        with pytest.raises(TypeError):
+            with cli._open_csv(str(path), {"value": object()}, ["a"]):
+                pass
+        assert not path.exists()
+
+
 class TestReproducibility:
     def test_rerun_is_bit_identical(self, synth_csv, tmp_path):
         art = tmp_path / "fit.json"

@@ -1,7 +1,11 @@
 """The in-package L-BFGS against scipy's L-BFGS-B, which runs the same iteration."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize as scipy_minimize
 
 from conftest import make_panel
@@ -124,6 +128,35 @@ class TestStops:
         assert result.fun == at_x.value == path[-1]
         assert np.array_equal(result.jac, -at_x.gradient)
         assert data_term == at_x.data_term
+
+
+@st.composite
+def dcstep_states(draw):
+    """Arguments of dcstep: the derivative at stx points downhill toward stp, and a
+    bracketed state holds stp strictly between stx and sty."""
+    stx, stp = draw(st.lists(st.floats(0.0, 10.0), min_size=2, max_size=2, unique=True))
+    side = 1.0 if stp > stx else -1.0
+    dx = -side * draw(st.floats(1e-3, 1e3))
+    brackt = draw(st.booleans())
+    sty = stp + side * draw(st.floats(1e-3, 10.0)) if brackt else draw(st.floats(0.0, 10.0))
+    fx, fy, dy, fp, dp = (draw(st.floats(-1e3, 1e3)) for _ in range(5))
+    stpmin = draw(st.floats(0.0, 10.0))
+    stpmax = stpmin + draw(st.floats(0.0, 100.0))
+    return stx, fx, dx, sty, fy, dy, stp, fp, dp, brackt, stpmin, stpmax
+
+
+@settings(max_examples=300, deadline=None)
+@given(dcstep_states())
+def test_dcstep_matches_scipy(state):
+    # scipy squares through ``** 2``, which libm's pow may round 1 ulp away
+    # from the product that Fortran's ``**2`` compiles to; hence not bitwise.
+    dcstep = pytest.importorskip("scipy.optimize._dcsrch").dcstep
+    *ours, ours_brackt = lbfgs._dcstep(*state)
+    with np.errstate(all="ignore"):
+        *theirs, theirs_brackt = dcstep(*state)
+    assert ours_brackt == theirs_brackt
+    for a, b in zip(ours, theirs):
+        assert math.isclose(a, b, rel_tol=1e-15) or (math.isnan(a) and math.isnan(b))
 
 
 def two_loop(g, s, y):

@@ -565,7 +565,7 @@ class TestScenarioSplit:
         assert train_targets == list(range(1999, 2014))
         assert len(train_targets) == 15
         assert test_targets == list(range(2014, 2019))
-        assert split.lag == 0 and not split.augment_with_lagged_response
+        assert split.lag == 0
 
     def test_scenario2_year_windows(self):
         ds = self.make_canonical()
@@ -574,7 +574,7 @@ class TestScenarioSplit:
         assert pairs[0] == (1999, 2004) and pairs[-1] == (2008, 2013)
         test_pairs = sorted({(ds.periods[tf], ds.periods[tt]) for _, tf, tt in split.test_pairs})
         assert test_pairs[0] == (2009, 2014) and test_pairs[-1] == (2013, 2018)
-        assert split.lag == 5 and split.augment_with_lagged_response
+        assert split.lag == 5
 
     def test_scenario3_year_windows(self):
         ds = self.make_canonical()
