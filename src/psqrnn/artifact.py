@@ -209,12 +209,15 @@ def load(path) -> FitArtifact:
                     and len(state.x_means) == len(state.x_stds) == len(state.x_names)):
                 raise ValueError("standardization means, deviations and names differ in length")
         kind = ModelKind(config["kind"])
+        scenario = config["scenario"]
+        if type(scenario) is not int or scenario not in (1, 2, 3):
+            raise ValueError(f"scenario must be the integer 1, 2 or 3, got {scenario!r}")
         params = tuple(_params_from_dict(fit["params"], kind, panel) for fit in fits)
         if not params:
             raise ValueError("the artifact holds no fit")
         return FitArtifact(
             kind=kind,
-            scenario=config["scenario"],
+            scenario=scenario,
             params=params,
             tau_labels=tuple("" if len(fit["taus"]) > 1 else repr(fit["taus"][0])
                              for fit in fits),

@@ -123,7 +123,10 @@ def cmd_synth(args) -> int:
 
 
 def _fit_settings(args, command: str):
-    """Model kind, quantile grid, config echo and training settings, from the flags alone."""
+    """Model kind, quantile grid, config echo, training settings and network template.
+
+    All come from the flags alone; :func:`_prepare` sets the template's input width.
+    """
     kind = ModelKind(args.kind)
     grid = _parse_taus(args.taus, kind)
     config = {
@@ -136,8 +139,6 @@ def _fit_settings(args, command: str):
         "tau_weights": list(grid.weights),
         "hidden": list(args.hidden),
         "activation": args.activation,
-        "lambda1": args.lambda1,
-        "lambda2": args.lambda2,
         "restarts": args.restarts,
         "seed": args.seed,
         "standardize": not args.no_standardize,
@@ -146,29 +147,30 @@ def _fit_settings(args, command: str):
         "eps_factor": args.eps_factor,
         "max_iters": args.max_iters,
         "grad_tol": args.grad_tol,
-        "per_tau": bool(getattr(args, "per_tau", False)),
     }
     train_config = TrainConfig(
         schedule=AnnealSchedule(args.eps_start, args.eps_end, args.eps_factor),
         restarts=args.restarts, max_iters_per_stage=args.max_iters,
         grad_tol=args.grad_tol, seed=args.seed,
     )
-    return kind, grid, config, train_config
+    spec = NetworkSpec(1, args.hidden, args.activation) if kind.uses_network else None
+    return kind, grid, config, train_config, spec
 
 
-def _prepare(args, kind: ModelKind):
-    """The prepared scenario of ``--input``, and the network sized to its inputs."""
+def _prepare(args, spec: Optional[NetworkSpec]):
+    """The prepared scenario of ``--input``, and ``spec`` sized to its network inputs."""
     prepared = pipeline.prepare_scenario(_load_dataset(args.input, args), args.scenario,
                                          standardize=not args.no_standardize)
-    spec = (NetworkSpec(prepared.train.p, args.hidden, args.activation)
-            if kind.uses_network else None)
+    if spec is not None:
+        spec = replace(spec, input_dim=prepared.train.p)
     return prepared, spec
 
 
 def cmd_train(args) -> int:
-    kind, grid, config, train_config = _fit_settings(args, "train")
+    kind, grid, config, train_config, spec = _fit_settings(args, "train")
     penalties = PenaltyConfig(args.lambda1, args.lambda2)
-    prepared, spec = _prepare(args, kind)
+    config.update(lambda1=args.lambda1, lambda2=args.lambda2, per_tau=args.per_tau)
+    prepared, spec = _prepare(args, spec)
     trained = pipeline.train_model(prepared, kind, grid, penalties, spec, train_config,
                                    per_tau=args.per_tau)
     artifact.save(trained, args.output, "train", config)
@@ -180,12 +182,10 @@ def cmd_train(args) -> int:
 
 
 def cmd_grid_search(args) -> int:
-    kind, grid, config, train_config = _fit_settings(args, "grid-search")
-    if not kind.uses_network:
-        raise ConfigError("grid search requires a network model kind")
-    PenaltyConfig(args.lambda1, args.lambda2)  # only echoed here, but checked as in train
+    kind, grid, config, train_config, spec = _fit_settings(args, "grid-search")
     search = SearchGrid(n1_values=args.grid_n1, n2_values=args.grid_n2,
                         lambda1_values=args.grid_lambda1, lambda2_values=args.grid_lambda2)
+    selection.check_search(kind, search, spec)
     config.update({
         "grid_n1": list(search.n1_values),
         "grid_n2": None if search.n2_values is None else list(search.n2_values),
@@ -193,7 +193,7 @@ def cmd_grid_search(args) -> int:
         "grid_lambda2": list(search.lambda2_values),
         "table_output": args.table_output,
     })
-    prepared, spec = _prepare(args, kind)
+    prepared, spec = _prepare(args, spec)
     result = selection.grid_search(prepared.train, kind, grid, search, spec, train_config)
     if args.table_output:
         with _open_csv(args.table_output, {"command": "grid-search", "config": config},
@@ -358,10 +358,6 @@ def _add_train_flags(parser) -> None:
                         help="hidden sizes n1[,n2]")
     parser.add_argument("--activation", default="elu",
                         choices=("elu", "sigmoid", "tanh", "softplus", "relu"))
-    parser.add_argument("--lambda1", type=float, default=0.005,
-                        help="intercept L1 strength")
-    parser.add_argument("--lambda2", type=float, default=0.01,
-                        help="hidden-weight L2 strength")
     parser.add_argument("--restarts", type=int, default=5)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--no-standardize", action="store_true")
@@ -407,6 +403,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="fit a model on a scenario split")
     _add_train_flags(p)
+    p.add_argument("--lambda1", type=float, default=0.005, help="intercept L1 strength")
+    p.add_argument("--lambda2", type=float, default=0.01, help="hidden-weight L2 strength")
     p.add_argument("--per-tau", action="store_true",
                    help="refit once per quantile level instead of one composite fit")
     p.set_defaults(func=cmd_train)

@@ -18,6 +18,7 @@ __all__ = [
     "GridSearchResult",
     "bic1",
     "bic2",
+    "check_search",
     "grid_search",
 ]
 
@@ -128,18 +129,14 @@ class GridSearchResult:
     table: list[GridPoint]
 
 
-def grid_search(dataset, kind: ModelKind, grid: TauGrid, search: SearchGrid,
-                spec_template: NetworkSpec, config: TrainConfig) -> GridSearchResult:
-    """Fit every (n1[, n2], lambda1, lambda2) combination and keep the BIC minimum.
+def check_search(kind: ModelKind, search: SearchGrid,
+                 spec_template: Optional[NetworkSpec]) -> None:
+    """Reject a linear kind, or a template depth (BIC1 or BIC2) that ``search`` does not fit.
 
-    Every point is trained with the same base seed and schedule. The fitted
-    average check loss at the final smoothing threshold feeds BIC1 or BIC2
-    according to the template depth. Failed fits stay in the table with their
-    error message and are skipped by the argmin; ties break toward the
-    lexicographically smallest (n1, n2, lambda1, lambda2).
+    Only the template's depth is read, so its input width may be a placeholder.
     """
     if not kind.uses_network:
-        raise ConfigError("grid search tunes network sizes; use a network model kind")
+        raise ConfigError("grid search requires a network model kind")
     depth = spec_template.n_hidden_layers
     if depth not in (1, 2):
         raise ConfigError(f"BIC is defined for 1 or 2 hidden layers, template has {depth}")
@@ -148,6 +145,20 @@ def grid_search(dataset, kind: ModelKind, grid: TauGrid, search: SearchGrid,
     if depth == 1 and search.n2_values is not None:
         raise ConfigError("one-hidden-layer template has no second layer to size; "
                           "give the template two hidden layers to search n2_values")
+
+
+def grid_search(dataset, kind: ModelKind, grid: TauGrid, search: SearchGrid,
+                spec_template: NetworkSpec, config: TrainConfig) -> GridSearchResult:
+    """Fit every (n1[, n2], lambda1, lambda2) combination and keep the BIC minimum.
+
+    Every point is trained with the same base seed and schedule. The fitted
+    average check loss at the final smoothing threshold feeds BIC1 or BIC2
+    according to the template depth. Failed fits stay in the table with their
+    error message and are skipped by the argmin; ties break toward the
+    lexicographically smallest (n1, n2, lambda1, lambda2). A search that
+    :func:`check_search` rejects raises its ``ConfigError`` before any fit.
+    """
+    check_search(kind, search, spec_template)
     n2_candidates = search.n2_values or (None,)
 
     table = []

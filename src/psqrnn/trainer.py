@@ -79,6 +79,8 @@ class TrainConfig:
             raise ConfigError(f"max_iters_per_stage must be >= 1, got {self.max_iters_per_stage}")
         if not (math.isfinite(self.grad_tol) and self.grad_tol > 0.0):
             raise ConfigError(f"grad_tol must be positive and finite, got {self.grad_tol!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

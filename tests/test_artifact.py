@@ -64,9 +64,11 @@ def test_saved_fit_predicts_what_the_fit_predicts(tmp_path_factory, seed, kind, 
     lambda d: d["config"].update(kind="qrnn"),
     lambda d: d["fits"][0].update(taus=[]),
     lambda d: d["standardization"].update(x_means=[]),
+    *(lambda d, bad=bad: d["config"].update(scenario=bad) for bad in (7, "1", None, 1.5, True)),
 ], ids=["no-panel", "kind", "activation", "weights", "standardization", "no-fit", "beta",
         "alpha", "no-network", "input-dim", "linear-with-network", "qrnn-with-beta",
-        "no-taus", "state-lengths"])
+        "no-taus", "state-lengths", "scenario-7", "scenario-str", "scenario-null",
+        "scenario-float", "scenario-bool"])
 def test_malformed_artifact_is_a_data_error(tmp_path, change):
     _, trained = trained_fit(0, ModelKind.PSQRNN, 1, True, False)
     path = tmp_path / "fit.json"

@@ -306,7 +306,16 @@ class TestFlagsBeforeFiles:
          "error: lambda1 must be a finite nonnegative real, got -1.0\n"),
         (["grid-search", "--grid-n1", "2", "--grid-n2", ""],
          "error: argument --grid-n2: invalid comma list of int value: ''\n"),
-    ], ids=["restarts", "taus", "hidden", "linear-grid", "grid-lambda1", "empty-grid-n2"])
+        (["train", "--hidden", "0"], "error: hidden sizes must be >= 1, got (0,)\n"),
+        (["train", "--seed", "-1"], "error: seed must be >= 0, got -1\n"),
+        (["grid-search", "--grid-n1", "2"],
+         "error: two-hidden-layer template needs n2_values\n"),
+        (["grid-search", "--hidden", "3", "--grid-n1", "2", "--grid-n2", "2"],
+         "error: one-hidden-layer template has no second layer to size; "
+         "give the template two hidden layers to search n2_values\n"),
+    ], ids=["restarts", "taus", "hidden", "linear-grid", "grid-lambda1", "empty-grid-n2",
+            "hidden-0", "negative-seed", "two-layer-without-grid-n2",
+            "one-layer-with-grid-n2"])
     def test_bad_flag_is_reported_before_a_missing_input(self, tmp_path, capsys, monkeypatch,
                                                           flags, message):
         def no_ingest(*args, **kwargs):
@@ -391,6 +400,25 @@ class TestGridSearch:
                     "--kind", "linear", "--grid-n1", "2", *FAST_FLAGS]) == 1
         assert capsys.readouterr().err == "error: grid search requires a network model kind\n"
         assert not art.exists()
+
+    def test_penalty_flags_belong_to_train(self, synth_csv, tmp_path, capsys):
+        capsys.readouterr()
+        assert run(["grid-search", "--input", str(synth_csv), "--output",
+                    str(tmp_path / "a.json"), "--grid-n1", "2", "--lambda1", "0.1"]) == 1
+        assert "unrecognized arguments: --lambda1 0.1" in capsys.readouterr().err
+        echoed = ("lambda1", "lambda2", "per_tau")
+        art, table = tmp_path / "best.json", tmp_path / "table.csv"
+        assert run(["grid-search", "--input", str(synth_csv), "--output", str(art),
+                    "--table-output", str(table), "--grid-n1", "2", "--taus", "0.5",
+                    "--hidden", "2", *FAST_FLAGS]) == 0
+        preamble = json.loads(table.read_text().splitlines()[0][2:])
+        for config in (json.loads(art.read_text())["config"], preamble["config"]):
+            assert [key for key in echoed if key in config] == []
+        fit = tmp_path / "fit.json"
+        assert run(["train", "--input", str(synth_csv), "--output", str(fit),
+                    "--taus", "0.5", "--hidden", "2", *FAST_FLAGS]) == 0
+        config = json.loads(fit.read_text())["config"]
+        assert [config[key] for key in echoed] == [0.005, 0.01, False]
 
     def test_identical_reruns_identical_tables(self, synth_csv, tmp_path):
         tables = []
