@@ -811,6 +811,8 @@ def generate_synthetic(config: SyntheticConfig, seed: int
     standard normals; the linear coefficients are drawn uniformly from
     [0.5, 1.5] unless given explicitly.
     """
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     n, t = config.n_individuals, config.n_periods
     q, p = config.n_parametric, config.n_network

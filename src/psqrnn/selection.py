@@ -1,5 +1,6 @@
 """BIC scoring of fitted models and exhaustive hyperparameter grid search."""
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -159,43 +160,34 @@ def grid_search(dataset, kind: ModelKind, grid: TauGrid, search: SearchGrid,
     :func:`check_search` rejects raises its ``ConfigError`` before any fit.
     """
     check_search(kind, search, spec_template)
-    n2_candidates = search.n2_values or (None,)
+    points = list(itertools.product(search.n1_values, search.n2_values or (None,),
+                                    search.lambda1_values, search.lambda2_values))
 
-    table = []
-    best_key = None
-    best_point = None
-    best_fit = None
-    for n1 in search.n1_values:
-        for n2 in n2_candidates:
-            for lam1 in search.lambda1_values:
-                for lam2 in search.lambda2_values:
-                    hidden = (n1,) if n2 is None else (n1, n2)
-                    spec = replace(spec_template, hidden_sizes=hidden)
-                    try:
-                        fit_result = trainer.fit(
-                            dataset, kind, grid, PenaltyConfig(lam1, lam2), spec, config
-                        )
-                        inp = BicInput(
-                            avg_loss=fit_result.avg_check_loss,
-                            n_individuals=dataset.n_individuals,
-                            n_periods=dataset.n_periods,
-                            p=spec.input_dim,
-                            q=dataset.q,
-                            n1=n1,
-                            n2=n2,
-                        )
-                        bic = bic1(inp) if n2 is None else bic2(inp)
-                        point = GridPoint(n1, n2, lam1, lam2, inp.avg_loss, bic, "ok")
-                    except (ConfigError, DataError, TrainingError, ArithmeticError) as exc:
-                        point = GridPoint(n1, n2, lam1, lam2, None, None, f"error: {exc}")
-                        table.append(point)
-                        continue
-                    table.append(point)
-                    key = (bic, n1, -1 if n2 is None else n2, lam1, lam2)
-                    if best_key is None or key < best_key:
-                        best_key = key
-                        best_point = point
-                        best_fit = fit_result
-    if best_point is None:
+    def fit_point(index):
+        n1, n2, lam1, lam2 = points[index]
+        spec = replace(spec_template, hidden_sizes=(n1,) if n2 is None else (n1, n2))
+        try:
+            fit_result = trainer.fit(dataset, kind, grid, PenaltyConfig(lam1, lam2), spec, config)
+            inp = BicInput(
+                avg_loss=fit_result.avg_check_loss,
+                n_individuals=dataset.n_individuals,
+                n_periods=dataset.n_periods,
+                p=spec.input_dim,
+                q=dataset.q,
+                n1=n1,
+                n2=n2,
+            )
+            bic = bic1(inp) if n2 is None else bic2(inp)
+        except (ConfigError, DataError, TrainingError, ArithmeticError) as exc:
+            return GridPoint(n1, n2, lam1, lam2, None, None, f"error: {exc}"), None
+        return GridPoint(n1, n2, lam1, lam2, inp.avg_loss, bic, "ok"), fit_result
+
+    fitted = trainer._parallel_map(fit_point, len(points))
+    ok = [(point, fit_result) for point, fit_result in fitted if fit_result is not None]
+    if not ok:
         raise TrainingError("every grid point failed to fit")
+    best_point, best_fit = min(ok, key=lambda pair: (
+        pair[0].bic, pair[0].n1, -1 if pair[0].n2 is None else pair[0].n2,
+        pair[0].lambda1, pair[0].lambda2))
+    table = [point for point, _ in fitted]
     return GridSearchResult(best_point=best_point, best_fit=best_fit, table=table)

@@ -5,9 +5,16 @@ Huber-smoothed version; an outer loop shrinks the smoothing threshold
 geometrically while the inner quasi-Newton optimizer warm-starts each stage
 from the previous one. Several random network initializations are fitted and
 the lowest final objective wins.
+
+Restarts, per-level fits and the selection module's grid points are
+independent, so :func:`_parallel_map` runs them on the CPUs this process may
+use. Each one is a pure function of its index, so the results are the same
+bytes on any number of CPUs.
 """
 
 import math
+import os
+import pickle
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -158,6 +165,104 @@ def _minimize_stage(problem, x0, epsilon: float, config: TrainConfig):
     return result, path, accepted.data_term
 
 
+#: Set in a forked worker, and in the parent while it runs its own tasks, so
+#: that a map called from inside a task runs serially: one level of processes.
+_in_task = False
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on; 1 where the OS cannot say (or cannot fork)."""
+    if not (hasattr(os, "sched_getaffinity") and hasattr(os, "fork")):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _run_share(task, indices):
+    """Run ``task`` over ``indices`` in order until one raises: (results, exception or None)."""
+    results = []
+    for index in indices:
+        try:
+            results.append(task(index))
+        except Exception as exc:
+            return results, exc
+    return results, None
+
+
+def _serve(task, indices, write_end, inherited) -> None:
+    """A forked worker's life: run its share, pickle it into the pipe, exit without cleanup."""
+    global _in_task
+    code = 1
+    try:
+        _in_task = True
+        for fd in inherited:  # siblings' read ends: a sibling must see its reader go
+            os.close(fd)
+        payload = pickle.dumps(_run_share(task, indices))
+        with os.fdopen(write_end, "wb") as pipe:
+            pipe.write(payload)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _read_all(fd) -> bytes:
+    chunks = []
+    while chunk := os.read(fd, 1 << 20):
+        chunks.append(chunk)
+    return b"".join(chunks)
+
+
+def _parallel_map(task, n: int) -> list:
+    """``[task(i) for i in range(n)]`` on W = min(n, usable CPUs) workers.
+
+    This process is worker 0 and runs tasks 0, W, 2W, ...; workers 1..W-1 are
+    forked children that run tasks w, w + W, ... and pickle their results back
+    through a pipe. Each task must be a pure function of its index, so the
+    list is the same on any W. A task's exception is raised here, the lowest
+    index's first, as a serial loop would raise it; a child that ends without
+    sending its results raises a TrainingError naming its exit code. Calls
+    made inside a task run serially, and every child is reaped before this
+    returns or raises.
+    """
+    global _in_task
+    workers = 1 if _in_task else min(n, _usable_cpus())
+    if workers < 2:
+        return [task(index) for index in range(n)]
+    pids, pipes = [], []
+    try:
+        for worker in range(1, workers):
+            read_end, write_end = os.pipe()
+            pipes.append(read_end)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _serve(task, range(worker, n, workers), write_end, pipes)
+                pids.append(pid)
+            finally:
+                os.close(write_end)
+        _in_task = True
+        try:
+            shares = [_run_share(task, range(0, n, workers))]
+        finally:
+            _in_task = False
+        payloads = [_read_all(fd) for fd in pipes]
+    finally:
+        # Closed before reaping: a child blocked writing to an abandoned pipe
+        # then fails its write and exits instead of waiting forever.
+        for fd in pipes:
+            os.close(fd)
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+    for pid, code, payload in zip(pids, codes, payloads):
+        shares.append(pickle.loads(payload) if code == 0 else ([], TrainingError(
+            f"worker process {pid} exited with code {code} without sending its results")))
+    results = []
+    for index in range(n):
+        done, error = shares[index % workers]
+        if index // workers == len(done):
+            raise error
+        results.append(done[index // workers])
+    return results
+
+
 def fit(dataset, kind: ModelKind, grid: TauGrid, penalties: PenaltyConfig,
         spec: Optional[NetworkSpec], config: TrainConfig) -> FitResult:
     """Train one model by annealed quasi-Newton descent with restarts.
@@ -193,9 +298,7 @@ def fit(dataset, kind: ModelKind, grid: TauGrid, penalties: PenaltyConfig,
     q, n, net_spec = problem.q, problem.n, problem.spec
     eps_values = epsilon_sequence(config.schedule)
 
-    best: Optional[FitResult] = None
-    restart_objectives = []
-    for restart in range(config.restarts if kind.uses_network else 1):
+    def run_restart(restart):
         net = None if net_spec is None else network.init_parameters(net_spec, config.seed + restart)
         x = model.pack_parameters(ModelParameters(np.zeros(q), np.zeros(n), net), kind)
         trace = []
@@ -207,26 +310,28 @@ def fit(dataset, kind: ModelKind, grid: TauGrid, penalties: PenaltyConfig,
         # The last stage runs at eps_end: its result is the restart's final state.
         # Status 0 means one of the optimizer's tolerance tests stopped it, not
         # the iteration cap or a failed line search.
-        final_value = float(result.fun)
-        converged = bool(result.status == 0)
-        restart_objectives.append(final_value)
-        if best is None or final_value < best.final_objective:
-            best = FitResult(
-                params=model.unpack_parameters(x, kind, q, n, net_spec),
-                grid=grid,
-                final_objective=final_value,
-                avg_check_loss=data_term,
-                restart_index=restart,
-                stage_trace=trace,
-                converged=converged,
-            )
-    best.restart_objectives = restart_objectives
-    return best
+        return x, trace, float(result.fun), data_term, bool(result.status == 0)
+
+    starts = _parallel_map(run_restart, config.restarts if kind.uses_network else 1)
+    # The first restart of the lowest final objective wins.
+    best = min(range(len(starts)), key=lambda restart: starts[restart][2])
+    x, trace, final_value, data_term, converged = starts[best]
+    return FitResult(
+        params=model.unpack_parameters(x, kind, q, n, net_spec),
+        grid=grid,
+        final_objective=final_value,
+        avg_check_loss=data_term,
+        restart_index=best,
+        stage_trace=trace,
+        converged=converged,
+        restart_objectives=[start[2] for start in starts],
+    )
 
 
 def fit_per_tau(dataset, kind: ModelKind, taus, penalties: PenaltyConfig,
                 spec: Optional[NetworkSpec], config: TrainConfig) -> list[FitResult]:
     """Independent single-level fits, one per requested quantile level."""
-    return [
-        fit(dataset, kind, TauGrid.single(tau), penalties, spec, config) for tau in taus
-    ]
+    taus = tuple(taus)
+    return _parallel_map(
+        lambda level: fit(dataset, kind, TauGrid.single(taus[level]), penalties, spec, config),
+        len(taus))

@@ -327,6 +327,13 @@ class TestFlagsBeforeFiles:
                     "--output", str(tmp_path / "f.json")]) == 1
         assert capsys.readouterr().err == message
 
+    def test_synth_negative_seed_is_a_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "never.csv"
+        capsys.readouterr()
+        assert run(["synth", "--output", str(path), "--seed", "-1"]) == 1
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+        assert not path.exists()
+
     def test_csv_output_whose_preamble_fails_is_not_created(self, tmp_path):
         path = tmp_path / "out.csv"
         with pytest.raises(TypeError):

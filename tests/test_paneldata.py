@@ -651,6 +651,31 @@ class TestGenerateSynthetic:
         with pytest.raises(ConfigError):
             SyntheticConfig(n_network=1, nonlinear="interaction")
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"n_individuals": 0}, "panel dimensions must be at least 1 x 1"),
+        ({"n_periods": 0}, "panel dimensions must be at least 1 x 1"),
+        ({"n_parametric": -1}, "covariate counts must be nonnegative"),
+        ({"n_network": -1, "nonlinear": "none"}, "covariate counts must be nonnegative"),
+        ({"noise": "cauchy"}, "noise must be 'normal' or 'student_t', got 'cauchy'"),
+        ({"nonlinear": "cubic"}, "unknown nonlinear component 'cubic'"),
+        ({"n_network": 0, "nonlinear": "sine"},
+         "sine component needs at least 1 network covariate"),
+        ({"n_network": 0, "nonlinear": "quadratic"},
+         "quadratic component needs at least 1 network covariate"),
+        ({"beta": (1.0,)}, "beta has length 1, expected 2"),
+        ({"noise_df": 0.0}, "noise_df must be positive"),
+        ({"noise_df": float("nan")}, "noise_df must be positive"),
+    ], ids=["individuals", "periods", "parametric", "network", "noise", "nonlinear",
+            "sine", "quadratic", "beta-length", "noise-df", "noise-df-nan"])
+    def test_config_rejects(self, fields, message):
+        with pytest.raises(ConfigError) as caught:
+            SyntheticConfig(**fields)
+        assert str(caught.value) == message
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match=r"^seed must be >= 0, got -1$"):
+            generate_synthetic(SyntheticConfig(), -1)
+
     @settings(max_examples=50, deadline=None)
     @given(st.sampled_from(["quadratic", "interaction"]), st.integers(2, 4),
            st.floats(0.1, 5.0), st.integers(0, 2 ** 32 - 1))

@@ -199,6 +199,11 @@ class TestConvergence:
 class TestEvaluationBudget:
     """Every objective evaluation inside a fit is one the optimizer asked for."""
 
+    @pytest.fixture(autouse=True)
+    def one_worker(self, monkeypatch):
+        # The spies count calls in this process; a forked restart's are not seen.
+        monkeypatch.setattr(trainer, "_usable_cpus", lambda: 1)
+
     @staticmethod
     def record_calls(monkeypatch):
         evaluations, stages = [], []
