@@ -7,8 +7,7 @@ from .artifact import (
     save as save_artifact,
 )
 from .errors import ConfigError, DataError, TrainingError
-from .losses import TauGrid, huber, huber_deriv, pinball, smoothed_pinball, \
-    smoothed_pinball_deriv
+from .losses import TauGrid, pinball, smoothed_pinball, smoothed_pinball_deriv
 from .metrics import ForecastReport, mape, report, rrmse
 from .model import (
     ModelKind,

@@ -80,7 +80,7 @@ def embedded_schema(path) -> Optional[PanelSchema]:
     preamble, and a DataError.
     """
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             first = handle.readline()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from None

@@ -8,6 +8,7 @@ byte-for-byte. Exit status: 0 success, 1 usage error, 2 data error,
 
 import argparse
 import csv
+import os
 import sys
 from contextlib import contextmanager
 from dataclasses import asdict, replace
@@ -71,6 +72,18 @@ def _comma_list(convert):
         return tuple(convert(part) for part in text.split(","))
     parse.__name__ = f"comma list of {convert.__name__}"  # argparse's error names it
     return parse
+
+
+#: Flags that name a file a command writes.
+_OUTPUT_FLAGS = ("output", "table_output", "series_output", "truth_output")
+
+
+def _check_output_directories(args) -> None:
+    """Every output's directory exists, checked before any input is read or fit run."""
+    for flag in _OUTPUT_FLAGS:
+        path = getattr(args, flag, None)
+        if path and not os.path.isdir(os.path.dirname(path) or "."):
+            raise DataError(f"cannot write {path}: {os.path.dirname(path)} is not a directory")
 
 
 @contextmanager
@@ -211,7 +224,6 @@ def cmd_grid_search(args) -> int:
     best = result.best_point
     trained = pipeline.TrainedModel(
         kind=kind, penalties=PenaltyConfig(best.lambda1, best.lambda2),
-        spec=result.best_fit.params.spec,
         config=train_config, fits=[result.best_fit], prepared=prepared,
     )
     config["selected"] = {"n1": best.n1, "n2": best.n2, "lambda1": best.lambda1,
@@ -447,6 +459,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        _check_output_directories(args)
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)
@@ -459,6 +472,12 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:
+        if exc.filename is None:
+            raise
+        # Inputs that cannot be read are DataErrors already: this is an output.
+        print(f"data error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return 2
 
 
 def console_main() -> None:

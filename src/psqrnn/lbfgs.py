@@ -51,7 +51,9 @@ _STPMIN, _STPMAX = 0.0, 1e10
 class OptimizeResult:
     """Where a minimization stopped and why.
 
-    ``fun`` and ``jac`` are the value and gradient at ``x``. ``status`` is 0
+    ``fun`` and ``jac`` are the value and gradient at ``x``, and
+    ``evaluation`` is what ``fun`` returned there. ``path`` holds the value
+    at x0 and after every iteration, so it ends with ``fun``. ``status`` is 0
     when a tolerance test stopped the run, 1 at the iteration or evaluation
     limit and 2 when a line search failed with an empty memory.
     """
@@ -63,29 +65,35 @@ class OptimizeResult:
     nfev: int
     status: int
     message: str
+    path: list[float]
+    evaluation: tuple
 
 
-def minimize(fun, x0, *, maxiter: int, gtol: float, callback=None) -> OptimizeResult:
-    """Minimize ``fun`` from ``x0``; ``fun(x)`` returns (value, gradient).
+def minimize(fun, x0, *, maxiter: int, gtol: float) -> OptimizeResult:
+    """Minimize ``fun`` from ``x0``; ``fun(x)`` returns a sequence that starts
+    with the value and the gradient, and may carry more.
 
     Stops when an iteration ends with max|g| <= ``gtol`` or with a decrease
     f_old - f <= 1e-12·max(|f_old|, |f|, 1) (tested in that order, after
     the iteration and evaluation limits), or when ``maxiter`` iterations are
-    done, or when more than 15000 evaluations are done. ``callback(x, f)``
-    runs after every iteration, at the point the iteration accepted, which
-    is the point of the last evaluation made.
+    done, or when more than 15000 evaluations are done.
     """
     x = np.array(x0, dtype=float)
-    f, g = fun(x)
-    f = float(f)
+    evaluation = fun(x)
+    f, g = float(evaluation[0]), evaluation[1]
+    path = [f]
     nfev, nit = 1, 0
+
+    def stop(status, message):
+        return OptimizeResult(x, f, g, nit, nfev, status, message, path, evaluation)
+
     if np.abs(g).max() <= gtol:
-        return OptimizeResult(x, f, g, nit, nfev, 0, PGTOL_MESSAGE)
+        return stop(0, PGTOL_MESSAGE)
     memory = _Memory(x.size, _MEMORY)
     while True:
         d = -g if memory.k == 0 else memory.direction(g)
         step = min(1.0 / math.sqrt(float(d @ d)), _STPMAX) if nit == 0 else 1.0
-        x_old, f_old, g_old = x, f, g
+        x_old, f_old, g_old, evaluation_old = x, f, g, evaluation
         gd_old = float(g @ d)
         accepted = False
         if gd_old < 0.0:
@@ -96,8 +104,8 @@ def minimize(fun, x0, *, maxiter: int, gtol: float, callback=None) -> OptimizeRe
             for _ in range(_MAX_LINE_EVALUATIONS):
                 if step != evaluated:
                     x = x_old + step * d
-                    f, g = fun(x)
-                    f = float(f)
+                    evaluation = fun(x)
+                    f, g = float(evaluation[0]), evaluation[1]
                     nfev += 1
                     evaluated = step
                 gd = float(g @ d)
@@ -108,23 +116,22 @@ def minimize(fun, x0, *, maxiter: int, gtol: float, callback=None) -> OptimizeRe
                 if not math.isfinite(step):
                     break
         if not accepted:
-            x, f, g = x_old, f_old, g_old
+            x, f, g, evaluation = x_old, f_old, g_old, evaluation_old
             if memory.k == 0:
-                return OptimizeResult(x, f, g, nit, nfev, 2, ABNORMAL_MESSAGE)
+                return stop(2, ABNORMAL_MESSAGE)
             memory.clear()
             continue
 
         nit += 1
-        if callback is not None:
-            callback(x, f)
+        path.append(f)
         if nit >= maxiter:
-            return OptimizeResult(x, f, g, nit, nfev, 1, MAXITER_MESSAGE)
+            return stop(1, MAXITER_MESSAGE)
         if nfev > _MAX_EVALUATIONS:
-            return OptimizeResult(x, f, g, nit, nfev, 1, MAXFUN_MESSAGE)
+            return stop(1, MAXFUN_MESSAGE)
         if np.abs(g).max() <= gtol:
-            return OptimizeResult(x, f, g, nit, nfev, 0, PGTOL_MESSAGE)
+            return stop(0, PGTOL_MESSAGE)
         if f_old - f <= _DECREASE_TOL * max(abs(f_old), abs(f), 1.0):
-            return OptimizeResult(x, f, g, nit, nfev, 0, FTOL_MESSAGE)
+            return stop(0, FTOL_MESSAGE)
         # s = step*d, so s'y = step*(g'd - g_old'd), as L-BFGS-B forms it.
         sy = (gd - gd_old) * step
         if sy > _EPS * (-gd_old * step):

@@ -12,8 +12,6 @@ import numpy as np
 __all__ = [
     "TauGrid",
     "pinball",
-    "huber",
-    "huber_deriv",
     "smoothed_pinball",
     "smoothed_pinball_deriv",
 ]
@@ -85,22 +83,6 @@ def _huber_value_and_deriv(u, epsilon, want_deriv, value=None, deriv=None, insid
     np.divide(u, epsilon, out=deriv)
     np.minimum(deriv, 1.0, out=deriv)
     return value, np.maximum(deriv, -1.0, out=deriv)
-
-
-def huber(u, epsilon):
-    """Huber norm: quadratic within ``epsilon`` of zero, absolute beyond.
-
-    Returns ``u**2 / (2 * epsilon)`` for ``|u| <= epsilon`` and
-    ``|u| - epsilon / 2`` otherwise; continuously differentiable at the join.
-    """
-    _check_epsilon(epsilon)
-    return _as_result(_huber_value_and_deriv(np.asarray(u, dtype=float), epsilon, False)[0])
-
-
-def huber_deriv(u, epsilon):
-    """Derivative of :func:`huber` with respect to ``u``."""
-    _check_epsilon(epsilon)
-    return _as_result(_huber_value_and_deriv(np.asarray(u, dtype=float), epsilon, True)[1])
 
 
 def smoothed_pinball(u, tau, epsilon):

@@ -232,10 +232,12 @@ class _Problem(_Layout):
 
 
 class _Evaluation(NamedTuple):
+    """Value first and gradient second, as ``lbfgs.minimize`` reads a stage's ``fun``."""
+
     value: float
-    data_term: float
     #: d value / d vector in pack order, or None for a value-only call.
     gradient: Optional[np.ndarray]
+    data_term: float
 
 
 def _evaluate(problem: _Problem, vector: np.ndarray, epsilon: float, *,
@@ -282,7 +284,7 @@ def _evaluate(problem: _Problem, vector: np.ndarray, epsilon: float, *,
         raise ArithmeticError("objective evaluated to a non-finite value")
 
     if not want_grad:
-        return _Evaluation(value, data_term, None)
+        return _Evaluation(value, None, data_term)
 
     # d value / d pred, row by row.
     cotangent = w.cotangent
@@ -298,7 +300,7 @@ def _evaluate(problem: _Problem, vector: np.ndarray, epsilon: float, *,
         if p.lambda2 > 0.0:
             for grad_h, h in zip(w.hidden_grad, w.hidden_params):
                 grad_h += (2.0 * p.lambda2 / p.hidden_count) * h
-    return _Evaluation(value, data_term, w.grad.copy())
+    return _Evaluation(value, w.grad.copy(), data_term)
 
 
 def _evaluate_at(params: ModelParameters, kind: ModelKind, dataset, grid: TauGrid,

@@ -3,7 +3,9 @@
 A panel holds N individuals observed over T consecutive integer periods with
 one response column, q parametric covariates (the linear part), and p network
 covariates (the nonlinear part). A physical column may feed both parts.
-Datasets are treated as immutable: every operation returns a new value.
+The public operations leave their input dataset as it is and return new
+values; only a panel that preparation has just gathered is standardized in
+place.
 """
 
 import csv
@@ -294,7 +296,7 @@ def _read_cells(path, delimiter: str, schema: PanelSchema, header=None, select=i
                 if not _is_comment(text):
                     yield text
 
-        with open(path, encoding="utf-8", newline="") as handle:
+        with open(path, encoding="utf-8-sig", newline="") as handle:
             rows = csv.reader(uncommented(handle), delimiter=delimiter)
             next(rows)
             for row in select(rows):
@@ -316,7 +318,7 @@ def _read_cells(path, delimiter: str, schema: PanelSchema, header=None, select=i
         raise AssertionError(f"{path}: no malformed row found")
 
     try:
-        with open(path, encoding="utf-8", newline="") as handle:
+        with open(path, encoding="utf-8-sig", newline="") as handle:
             reader = csv.reader(itertools.filterfalse(_is_comment, handle), delimiter=delimiter)
             names = next(reader, None)
             if names is None:

@@ -81,7 +81,6 @@ class TrainedModel:
 
     kind: ModelKind
     penalties: PenaltyConfig
-    spec: Optional[NetworkSpec]
     config: TrainConfig
     #: One composite fit, or one fit per level; each carries its grid.
     fits: list[FitResult]
@@ -96,7 +95,7 @@ def train_model(prepared: PreparedScenario, kind: ModelKind, grid: TauGrid,
         fits = trainer.fit_per_tau(prepared.train, kind, grid.taus, penalties, spec, config)
     else:
         fits = [trainer.fit(prepared.train, kind, grid, penalties, spec, config)]
-    return TrainedModel(kind=kind, penalties=penalties, spec=spec, config=config, fits=fits,
+    return TrainedModel(kind=kind, penalties=penalties, config=config, fits=fits,
                         prepared=prepared)
 
 

@@ -101,7 +101,7 @@ class StageRecord:
     objective: float
     #: The optimizer's stop message, e.g. a convergence test or the iteration cap.
     stop: str
-    objective_path: list[float] = field(default_factory=list, repr=False)
+    objective_path: list[float] = field(repr=False)
 
 
 @dataclass
@@ -120,28 +120,22 @@ class FitResult:
     #: The final stage stopped on one of the optimizer's tolerance tests, not
     #: on ``max_iters_per_stage`` or a failed line search.
     converged: bool
-    restart_objectives: list[float] = field(default_factory=list)
+    restart_objectives: list[float]
 
 
 def _minimize_stage(problem, x0, epsilon: float, config: TrainConfig):
-    """Run one L-BFGS stage; returns (OptimizeResult, objective path, data term).
+    """Run one L-BFGS stage on the smoothed objective at ``epsilon``.
 
-    The result's ``fun`` and ``jac``, and the data term returned, come from
-    the evaluation at the result's ``x``: x0's, or that of the last
-    iteration the optimizer accepted. The path holds the value at x0 and
-    after every iteration. Each value comes from an evaluation the
-    optimizer made anyway. A numeric failure is raised as a TrainingError
-    naming the stage.
+    The result's ``evaluation`` is the ``model._Evaluation`` at its ``x``. A
+    numeric failure is raised as a TrainingError naming the stage.
     """
-    path = []
     evaluations = 0
-    last = accepted = None
 
     def fun(x):
-        nonlocal evaluations, last, accepted
+        nonlocal evaluations
         evaluations += 1
         try:
-            last = model._evaluate(problem, x, epsilon, want_grad=True)
+            return model._evaluate(problem, x, epsilon, want_grad=True)
         except ArithmeticError as exc:
             raise TrainingError(
                 f"non-finite objective at stage epsilon={epsilon!r}, "
@@ -149,20 +143,8 @@ def _minimize_stage(problem, x0, epsilon: float, config: TrainConfig):
                 epsilon=epsilon,
                 evaluations=evaluations,
             ) from exc
-        if not path:  # the optimizer evaluates x0 first
-            path.append(last.value)
-            accepted = last
-        return last.value, last.gradient
 
-    def track(x, value):
-        nonlocal accepted
-        # An iteration ends at the point of the optimizer's last evaluation.
-        accepted = last
-        path.append(value)
-
-    result = minimize(fun, x0, maxiter=config.max_iters_per_stage, gtol=config.grad_tol,
-                      callback=track)
-    return result, path, accepted.data_term
+    return minimize(fun, x0, maxiter=config.max_iters_per_stage, gtol=config.grad_tol)
 
 
 #: Set in a forked worker, and in the parent while it runs its own tasks, so
@@ -303,28 +285,27 @@ def fit(dataset, kind: ModelKind, grid: TauGrid, penalties: PenaltyConfig,
         x = model.pack_parameters(ModelParameters(np.zeros(q), np.zeros(n), net), kind)
         trace = []
         for epsilon in eps_values:
-            result, path, data_term = _minimize_stage(problem, x, epsilon, config)
+            result = _minimize_stage(problem, x, epsilon, config)
             x = result.x
             trace.append(StageRecord(epsilon, int(result.nit), int(result.nfev),
-                                     float(result.fun), str(result.message), path))
+                                     float(result.fun), str(result.message), result.path))
         # The last stage runs at eps_end: its result is the restart's final state.
-        # Status 0 means one of the optimizer's tolerance tests stopped it, not
-        # the iteration cap or a failed line search.
-        return x, trace, float(result.fun), data_term, bool(result.status == 0)
+        return trace, result
 
     starts = _parallel_map(run_restart, config.restarts if kind.uses_network else 1)
+    objectives = [result.fun for _, result in starts]
     # The first restart of the lowest final objective wins.
-    best = min(range(len(starts)), key=lambda restart: starts[restart][2])
-    x, trace, final_value, data_term, converged = starts[best]
+    best = objectives.index(min(objectives))
+    trace, result = starts[best]
     return FitResult(
-        params=model.unpack_parameters(x, kind, q, n, net_spec),
+        params=model.unpack_parameters(result.x, kind, q, n, net_spec),
         grid=grid,
-        final_objective=final_value,
-        avg_check_loss=data_term,
+        final_objective=result.fun,
+        avg_check_loss=result.evaluation.data_term,
         restart_index=best,
         stage_trace=trace,
-        converged=converged,
-        restart_objectives=[start[2] for start in starts],
+        converged=result.status == 0,
+        restart_objectives=objectives,
     )
 
 

@@ -2,10 +2,10 @@
 
 This is the objective as it was written before the kernel: it builds
 ``ModelParameters`` and ``NetworkParameters``, runs the network row-major,
-and calls the validated public loss functions. It arranges its own rows
-from the dataset, one per (individual, period) cell, so a kernel that
-orders the rows differently disagrees with it. Tests compare the kernel's
-value and gradient against it.
+and calls the validated loss functions, among them the checked Huber norm
+kept here. It arranges its own rows from the dataset, one per (individual,
+period) cell, so a kernel that orders the rows differently disagrees with
+it. Tests compare the kernel's value and gradient against it.
 """
 
 import math
@@ -32,6 +32,21 @@ ACTIVATIONS = {
     "softplus": (lambda x: np.logaddexp(0.0, x), _logistic),
     "relu": (lambda x: np.maximum(x, 0.0), lambda x: (x > 0.0).astype(float)),
 }
+
+
+def huber(u, epsilon):
+    """Huber norm: ``u**2 / (2 * epsilon)`` for ``|u| <= epsilon`` and
+    ``|u| - epsilon / 2`` otherwise, with epsilon checked."""
+    losses._check_epsilon(epsilon)
+    return losses._as_result(
+        losses._huber_value_and_deriv(np.asarray(u, dtype=float), epsilon, False)[0])
+
+
+def huber_deriv(u, epsilon):
+    """Derivative of :func:`huber` with respect to ``u``."""
+    losses._check_epsilon(epsilon)
+    return losses._as_result(
+        losses._huber_value_and_deriv(np.asarray(u, dtype=float), epsilon, True)[1])
 
 
 def forward_rows(params: NetworkParameters, x: np.ndarray):
@@ -120,7 +135,7 @@ def evaluate(dataset, params: ModelParameters, kind: ModelKind,
     value = data_term
     if kind.uses_linear_term and penalties.lambda1 > 0.0:
         value += penalties.lambda1 * math.fsum(
-            np.asarray(losses.huber(params.alpha, epsilon), dtype=float).tolist()
+            np.asarray(huber(params.alpha, epsilon), dtype=float).tolist()
         ) / n
     hidden_count = 0
     if kind.uses_network:
@@ -146,7 +161,7 @@ def evaluate(dataset, params: ModelParameters, kind: ModelKind,
         grad_alpha = -s.reshape(n, t).sum(axis=1)
         if penalties.lambda1 > 0.0:
             grad_alpha = grad_alpha + penalties.lambda1 * np.asarray(
-                losses.huber_deriv(params.alpha, epsilon), dtype=float
+                huber_deriv(params.alpha, epsilon), dtype=float
             ) / n
     if kind.uses_network:
         grad_net = backward_rows(params.net, cache, -s)

@@ -1036,6 +1036,54 @@ class TestNotUtf8:
         assert f"data error: artifact {art} is not UTF-8 text" in capsys.readouterr().err
 
 
+def test_byte_order_mark_before_the_preamble(synth_csv, tmp_path, capsys):
+    # The mark would otherwise hide the preamble and make it the header.
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + synth_csv.read_bytes())
+    assert embedded_schema(marked) == embedded_schema(synth_csv) is not None
+    assert_datasets_equal(_ingest_embedded(marked), _ingest_embedded(synth_csv))
+    assert run(["ingest", "--input", str(marked)]) == 0
+
+
+class TestUnwritableOutput:
+    """An output that cannot be written is a data error (exit 2): one line naming it."""
+
+    @pytest.mark.parametrize("command, flag", [
+        ("ingest", "--output"), ("synth", "--output"), ("synth", "--truth-output"),
+        ("train", "--output"), ("grid-search", "--output"), ("grid-search", "--table-output"),
+        ("predict", "--output"), ("evaluate", "--output"), ("evaluate", "--series-output"),
+    ])
+    def test_missing_directory_is_found_before_any_input_is_read(
+            self, tmp_path, capsys, monkeypatch, command, flag):
+        def no_read(*args, **kwargs):
+            raise AssertionError("read an input before the outputs were checked")
+
+        for module, name in ((paneldata, "_read_cells"), (artifact, "embedded_schema"),
+                             (artifact, "load")):
+            monkeypatch.setattr(module, name, no_read)
+        absent, out = str(tmp_path / "absent.csv"), str(tmp_path / "out")
+        argv = {
+            "ingest": ["ingest", "--input", absent],
+            "synth": ["synth", "--output", out],
+            "train": ["train", "--input", absent, "--output", out],
+            "grid-search": ["grid-search", "--input", absent, "--output", out,
+                            "--hidden", "3", "--grid-n1", "2"],
+            "predict": ["predict", "--artifact", absent, "--input", absent, "--output", out],
+            "evaluate": ["evaluate", "--predictions", absent, "--actuals", absent],
+        }[command]
+        missing = tmp_path / "missing"
+        capsys.readouterr()
+        assert run([*argv, flag, str(missing / "file")]) == 2
+        assert capsys.readouterr().err == (
+            f"data error: cannot write {missing / 'file'}: {missing} is not a directory\n")
+        assert os.listdir(tmp_path) == []
+
+    def test_output_that_cannot_be_opened(self, synth_csv, tmp_path, capsys):
+        capsys.readouterr()
+        assert run(["ingest", "--input", str(synth_csv), "--output", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"data error: cannot write {tmp_path}: Is a directory\n"
+
+
 class TestWritersQuoteLabels:
     """predict and --series-output write what csv.writer writes for the same cells."""
 

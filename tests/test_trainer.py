@@ -280,9 +280,9 @@ class TestFitWorkspace:
 
         def keeping_minimize(fun, x0, **kwargs):
             def keeping_fun(x):
-                value, gradient = fun(x)
-                kept.append((gradient, gradient.copy()))
-                return value, gradient
+                evaluation = fun(x)
+                kept.append((evaluation.gradient, evaluation.gradient.copy()))
+                return evaluation
             return minimize(keeping_fun, x0, **kwargs)
 
         monkeypatch.setattr(trainer, "minimize", keeping_minimize)
