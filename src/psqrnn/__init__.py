@@ -26,7 +26,6 @@ from .paneldata import (
     StandardizationState,
     SyntheticConfig,
     SyntheticTruth,
-    apply_standardization,
     destandardize_response,
     emit,
     generate_synthetic,

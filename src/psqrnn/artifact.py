@@ -231,15 +231,20 @@ def load(path) -> FitArtifact:
         raise DataError(f"artifact {path} is malformed: {exc!r}") from None
 
 
-def predict(fitted: FitArtifact, panel: PanelDataset) -> list[np.ndarray]:
-    """Each fit's (N, T) predictions for a panel, on the response's own scale.
+def predict(fitted: FitArtifact, dataset: PanelDataset, which: str = "test",
+            scenario: Optional[int] = None) -> tuple[tuple[int, ...], list[np.ndarray]]:
+    """The forecast periods and each fit's (N, T) forecasts, on the response's own scale.
 
-    ``panel`` is an unstandardized split panel: the ``.train`` or ``.test``
-    of the ``PreparedScenario`` that
-    ``pipeline.prepare_scenario(dataset, fitted.scenario, standardize=False)``
-    returns. It is standardized with the saved state. Its individuals and
-    covariate columns must be those the artifact was fitted on.
+    ``dataset`` is a panel as :func:`paneldata.ingest` reads it. Its
+    ``which`` ("train" or "test") panel of the artifact's scenario, or of
+    ``scenario`` if given, is gathered with masked cells imputed, as
+    training prepared its panels, and standardized with the saved state.
+    Its individuals and covariate columns must be those the artifact was
+    fitted on.
     """
+    if scenario is None:
+        scenario = fitted.scenario
+    _, (panel,) = paneldata._split_panels(dataset, scenario, (which,))
     if panel.individuals != fitted.individuals:
         missing = sorted(set(fitted.individuals) - set(panel.individuals))
         extra = sorted(set(panel.individuals) - set(fitted.individuals))
@@ -255,11 +260,11 @@ def predict(fitted: FitArtifact, panel: PanelDataset) -> list[np.ndarray]:
         )
     state = fitted.state
     if state is not None:
-        panel = paneldata.apply_standardization(panel, state)
+        paneldata._standardize_in_place(panel, state)
     predictions = []
     for params in fitted.params:
         pred = model.predict_panel(params, fitted.kind, panel)
         if state is not None:
             pred = paneldata.destandardize_response(pred, state)
         predictions.append(pred)
-    return predictions
+    return panel.periods, predictions

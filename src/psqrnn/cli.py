@@ -79,11 +79,12 @@ _OUTPUT_FLAGS = ("output", "table_output", "series_output", "truth_output")
 
 
 def _check_output_directories(args) -> None:
-    """Every output's directory exists, checked before any input is read or fit run."""
-    for flag in _OUTPUT_FLAGS:
-        path = getattr(args, flag, None)
-        if path and not os.path.isdir(os.path.dirname(path) or "."):
+    """Each output's directory exists and the output is not one; checked before any read."""
+    for path in filter(None, (getattr(args, flag, None) for flag in _OUTPUT_FLAGS)):
+        if not os.path.isdir(os.path.dirname(path) or "."):
             raise DataError(f"cannot write {path}: {os.path.dirname(path)} is not a directory")
+        if os.path.isdir(path):
+            raise DataError(f"cannot write {path}: Is a directory")
 
 
 @contextmanager
@@ -241,10 +242,9 @@ _PREDICTIONS_SCHEMA = PanelSchema("individual", "period", "predicted", (), ())
 def cmd_predict(args) -> int:
     fitted = artifact.load(args.artifact)
     dataset = _load_dataset(args.input, args)
-    scenario = args.scenario if args.scenario else fitted.scenario
-    _, (panel,) = pipeline._split_panels(dataset, scenario, (args.which,))
-    predictions = artifact.predict(fitted, panel)
-    labels = paneldata._csv_fields(panel.individuals)
+    scenario = args.scenario or fitted.scenario
+    periods, predictions = artifact.predict(fitted, dataset, args.which, scenario)
+    labels = paneldata._csv_fields(dataset.individuals)
     document = {
         "command": "predict", "config": {
             "artifact": args.artifact, "input": args.input, "output": args.output,
@@ -254,7 +254,7 @@ def cmd_predict(args) -> int:
     }
     with _open_csv(args.output, document, _PREDICTION_COLUMNS) as handle:
         for tau_label, pred in zip(fitted.tau_labels, predictions):
-            paneldata._write_rows(handle, labels, panel.periods, [tau_label, (pred, None)])
+            paneldata._write_rows(handle, labels, periods, [tau_label, (pred, None)])
     print(dump_json({"written": args.output, "rows": sum(pred.size for pred in predictions)}))
     return 0
 
@@ -286,7 +286,7 @@ def _read_predictions(path: str, tau: Optional[str]):
 
     individuals, periods, blocks, gaps = paneldata._read_cells(
         path, ",", _PREDICTIONS_SCHEMA, _PREDICTION_COLUMNS, select, missing_ok=False,
-        where=f"{path}: ", order=list)
+        order=list)
     if not individuals:
         raise DataError(f"{path}: no prediction rows matched tau={tau!r}")
     t = len(periods)

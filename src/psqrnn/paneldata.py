@@ -32,7 +32,6 @@ __all__ = [
     "emit",
     "impute_mean",
     "standardize",
-    "apply_standardization",
     "destandardize_response",
     "scenario_split",
     "materialize_split",
@@ -183,13 +182,6 @@ class PanelDataset:
             network=self.x_names,
         )
 
-    def copy(self) -> "PanelDataset":
-        return PanelDataset(
-            self.individuals, self.periods, self.y.copy(), self.z.copy(), self.x.copy(),
-            self.missing_mask.copy(), self.response_name, self.z_names, self.x_names,
-            self.individual_label, self.period_label,
-        )
-
 
 def _parse_cell(text: str, line: int, column: str) -> tuple[float, bool]:
     text = text.strip()
@@ -267,13 +259,13 @@ def _parse_block(reader, schema: PanelSchema, index: dict, width: int, value_col
 
 
 def _read_cells(path, delimiter: str, schema: PanelSchema, header=None, select=iter,
-                missing_ok: bool = True, where: str = "", order=sorted):
+                missing_ok: bool = True, order=sorted):
     """Read a panel file ``_BLOCK_ROWS`` rows at a time and place each row in its grid cell.
 
     The header names each schema column once (and equals ``header`` if given);
     ``select`` filters the rows after it. A missing value is malformed unless
     ``missing_ok``. A malformed or repeated row raises the first malformed
-    row's error, prefixed with ``where``. Returns the individuals in ``order``
+    row's error, prefixed with the path. Returns the individuals in ``order``
     (``list`` keeps first sight), the sorted periods, a (cell, values,
     missing) per block with cell each row's flat index in the (N, T) grid,
     and the empty cells' flat indices.
@@ -314,7 +306,7 @@ def _read_cells(path, delimiter: str, schema: PanelSchema, header=None, select=i
                         if _parse_cell(row[index[name]], line, name)[1] and not missing_ok:
                             raise DataError(f"line {line}, column {name!r}: missing value")
                 except DataError as exc:
-                    return DataError(f"{where}{exc}")
+                    return DataError(f"{path}: {exc}")
         raise AssertionError(f"{path}: no malformed row found")
 
     try:
@@ -366,10 +358,11 @@ def ingest(path, schema: PanelSchema = DEFAULT_SCHEMA, delimiter: str = ",") -> 
     The file needs a header row that names every schema column once. Missing
     cells are empty or "NA". Rows are sorted by (individual, period);
     duplicated or absent (individual, period) rows are rejected with their
-    location. Lines starting with '#' are ignored; error messages give
-    physical line numbers, comment lines included. The rows are parsed
-    ``_BLOCK_ROWS`` at a time, so memory holds the arrays and one block of
-    cell strings. An unreadable file, or one that is not UTF-8, is a DataError.
+    location. Lines starting with '#' are ignored; error messages start
+    with the path and give physical line numbers, comment lines included.
+    The rows are parsed ``_BLOCK_ROWS`` at a time, so memory holds the
+    arrays and one block of cell strings. An unreadable file, or one that
+    is not UTF-8, is a DataError.
     """
     if not isinstance(delimiter, str) or len(delimiter) != 1:
         raise ConfigError(f"delimiter must be a single character, got {delimiter!r}")
@@ -380,7 +373,7 @@ def ingest(path, schema: PanelSchema = DEFAULT_SCHEMA, delimiter: str = ",") -> 
     if gaps.size:
         shown = ", ".join(str((individuals[k // t], period_values[k % t]))
                           for k in gaps[:10].tolist())
-        raise DataError(f"unbalanced panel: {gaps.size} missing rows, e.g. {shown}")
+        raise DataError(f"{path}: unbalanced panel: {gaps.size} missing rows, e.g. {shown}")
 
     # Every (individual, period) cell holds exactly one row: place each block.
     value_cols = [schema.response, *schema.covariate_names()]
@@ -395,12 +388,15 @@ def ingest(path, schema: PanelSchema = DEFAULT_SCHEMA, delimiter: str = ",") -> 
         z[cell] = values[:, z_cols]
         x[cell] = values[:, x_cols]
         mask[cell] = missing[:, [0, *z_cols, *x_cols]]
-    return PanelDataset(
-        individuals, period_values, y.reshape(n, t), z.reshape(n, t, q),
-        x.reshape(n, t, p), mask.reshape(n, t, 1 + q + p),
-        response_name=schema.response, z_names=schema.parametric, x_names=schema.network,
-        individual_label=schema.individual, period_label=schema.period,
-    )
+    try:
+        return PanelDataset(
+            individuals, period_values, y.reshape(n, t), z.reshape(n, t, q),
+            x.reshape(n, t, p), mask.reshape(n, t, 1 + q + p),
+            response_name=schema.response, z_names=schema.parametric, x_names=schema.network,
+            individual_label=schema.individual, period_label=schema.period,
+        )
+    except DataError as exc:  # periods that are not consecutive
+        raise DataError(f"{path}: {exc}") from None
 
 
 def _csv_fields(cells) -> list[str]:
@@ -519,14 +515,17 @@ class StandardizationState:
 
 
 def standardize(dataset: PanelDataset) -> tuple[PanelDataset, StandardizationState]:
-    """Z-score every column with its own mean and standard deviation.
+    """Z-score every column of a copy with its own mean and standard deviation.
 
-    Fit it on the training panel and carry the state to other panels with
-    :func:`apply_standardization`. The standard deviation uses the
-    population denominator. Constant columns are rejected by name.
+    Fit it on the training panel; scenario preparation and artifact
+    prediction carry the state to the panels they gather. The standard
+    deviation uses the population denominator. Constant columns are
+    rejected by name.
     """
     state = _standardization_state(dataset)
-    return apply_standardization(dataset, state), state
+    out = _gather(dataset, [(s, s) for s in range(dataset.n_periods)], 0, None)
+    _standardize_in_place(out, state)
+    return out, state
 
 
 def _standardization_state(dataset: PanelDataset) -> StandardizationState:
@@ -556,17 +555,6 @@ def _standardization_state(dataset: PanelDataset) -> StandardizationState:
         z_names=dataset.z_names, x_names=dataset.x_names,
         response_name=dataset.response_name,
     )
-
-
-def apply_standardization(dataset: PanelDataset, state: StandardizationState) -> PanelDataset:
-    """Standardize a dataset with previously computed training statistics.
-
-    Masked cells stay masked (their NaN values pass through); useful for test
-    windows whose response is unknown.
-    """
-    out = dataset.copy()
-    _standardize_in_place(out, state)
-    return out
 
 
 def _standardize_in_place(dataset: PanelDataset, state: StandardizationState) -> None:
@@ -673,6 +661,14 @@ def materialize_split(dataset: PanelDataset, split: ScenarioSplit,
     targets (scenario 3 test) carry a masked NaN response.
     """
     return _gather(dataset, split.times(subset), split.lag, None)
+
+
+def _split_panels(dataset: PanelDataset, scenario: int, subsets) -> tuple:
+    """The scenario's split and its imputed, unstandardized panels named in ``subsets``."""
+    fills = _mean_fills(dataset)
+    split = scenario_split(dataset, scenario)
+    return split, [_gather(dataset, split.times(subset), split.lag, fills)
+                   for subset in subsets]
 
 
 def _gather(dataset: PanelDataset, time_pairs, lag: int,

@@ -57,7 +57,7 @@ def prepare_scenario(dataset: PanelDataset, scenario: int,
     fresh arrays are standardized in place. Standardization statistics come
     from the training panel alone and are applied to the test panel.
     """
-    split, (train, test) = _split_panels(dataset, scenario, ("train", "test"))
+    split, (train, test) = paneldata._split_panels(dataset, scenario, ("train", "test"))
     state = None
     if standardize:
         state = paneldata._standardization_state(train)
@@ -65,14 +65,6 @@ def prepare_scenario(dataset: PanelDataset, scenario: int,
         paneldata._standardize_in_place(test, state)
     return PreparedScenario(split=split, train=train, test=test, state=state,
                             periods=dataset.periods)
-
-
-def _split_panels(dataset: PanelDataset, scenario: int, subsets) -> tuple:
-    """The scenario's split and its imputed, unstandardized panels named in ``subsets``."""
-    fills = paneldata._mean_fills(dataset)
-    split = paneldata.scenario_split(dataset, scenario)
-    return split, [paneldata._gather(dataset, split.times(subset), split.lag, fills)
-                   for subset in subsets]
 
 
 @dataclass

@@ -64,7 +64,8 @@ def ingest_rowwise(path, schema: PanelSchema = DEFAULT_SCHEMA,
                    delimiter: str = ",") -> PanelDataset:
     """Reference parser: one dict per row, then an N*T fill loop.
 
-    Line numbers are physical: comment lines count.
+    Each error starts with the path; line numbers are physical: comment
+    lines count.
     """
     rows = {}
     value_cols = [schema.response, *schema.covariate_names()]
@@ -91,15 +92,18 @@ def ingest_rowwise(path, schema: PanelSchema = DEFAULT_SCHEMA,
                 continue
             if len(row) != len(header):
                 raise DataError(
-                    f"line {line_no}: {len(row)} fields, header has {len(header)}"
+                    f"{path}: line {line_no}: {len(row)} fields, header has {len(header)}"
                 )
-            ind = row[index[schema.individual]].strip()
-            key = (ind, _parse_period(row[index[schema.period]], line_no, schema.period))
-            if key in rows:
-                raise DataError(f"line {line_no}: duplicate row for {key}")
-            rows[key] = {
-                name: _parse_cell(row[index[name]], line_no, name) for name in value_cols
-            }
+            try:
+                ind = row[index[schema.individual]].strip()
+                key = (ind, _parse_period(row[index[schema.period]], line_no, schema.period))
+                if key in rows:
+                    raise DataError(f"line {line_no}: duplicate row for {key}")
+                rows[key] = {
+                    name: _parse_cell(row[index[name]], line_no, name) for name in value_cols
+                }
+            except DataError as exc:
+                raise DataError(f"{path}: {exc}") from None
     if not rows:
         raise DataError(f"{path}: no data rows")
 
@@ -108,7 +112,9 @@ def ingest_rowwise(path, schema: PanelSchema = DEFAULT_SCHEMA,
     gaps = [(ind, per) for ind in individuals for per in periods if (ind, per) not in rows]
     if gaps:
         shown = ", ".join(map(str, gaps[:10]))
-        raise DataError(f"unbalanced panel: {len(gaps)} missing rows, e.g. {shown}")
+        raise DataError(f"{path}: unbalanced panel: {len(gaps)} missing rows, e.g. {shown}")
+    if any(b != a + 1 for a, b in zip(periods, periods[1:])):
+        raise DataError(f"{path}: periods must be consecutive integers, got {periods}")
 
     n, t = len(individuals), len(periods)
     q, p = len(schema.parametric), len(schema.network)
@@ -221,6 +227,15 @@ def emit_cellwise(dataset: PanelDataset, path, delimiter: str = ",",
                 handle.write(text)
 
 
+def _copy(dataset: PanelDataset) -> PanelDataset:
+    """A dataset with copies of ``dataset``'s arrays."""
+    return PanelDataset(
+        dataset.individuals, dataset.periods, dataset.y.copy(), dataset.z.copy(),
+        dataset.x.copy(), dataset.missing_mask.copy(), dataset.response_name,
+        dataset.z_names, dataset.x_names, dataset.individual_label, dataset.period_label,
+    )
+
+
 def _write_column(dataset: PanelDataset, name: str, values: np.ndarray) -> None:
     if name == dataset.response_name:
         dataset.y = values
@@ -236,7 +251,7 @@ def _impute_each_row(dataset: PanelDataset, row_mean) -> PanelDataset:
     An individual's fill is ``row_mean(row, observed)`` of its row of the
     variable, or the variable's observed mean where it has none observed.
     """
-    out = dataset.copy()
+    out = _copy(dataset)
     for name in dataset.physical_names():
         values, mask = out.column(name)
         if not mask.any():
@@ -334,7 +349,7 @@ def standardization_state_of(dataset: PanelDataset) -> StandardizationState:
 
 def standardized_copy(dataset: PanelDataset, state: StandardizationState) -> PanelDataset:
     """Reference standardization: a new array of (v - mean) / std per column."""
-    out = dataset.copy()
+    out = _copy(dataset)
     out.y = (dataset.y - state.response_mean) / state.response_std
     for j in range(dataset.q):
         out.z[:, :, j] = (dataset.z[:, :, j] - state.z_means[j]) / state.z_stds[j]

@@ -16,10 +16,11 @@ from panel_oracle import read_predictions_rowwise
 from psqrnn import artifact, cli, paneldata
 from psqrnn.artifact import embedded_schema
 from psqrnn.losses import TauGrid
-from psqrnn.model import ModelKind, PenaltyConfig
+from psqrnn.model import ModelKind, PenaltyConfig, predict_panel
 from psqrnn.paneldata import (
     PanelDataset,
     SyntheticConfig,
+    destandardize_response,
     emit,
     generate_synthetic,
     scenario_split,
@@ -289,6 +290,11 @@ class TestTrain:
                     "--output", str(tmp_path / "f.json"),
                     "--taus", "0.5", "--hidden", "3",
                     "--lambda2", "1e308", *FAST_FLAGS]) == 3
+
+
+def test_help_exits_zero(capsys):
+    assert run(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: psqrnn")
 
 
 class TestFlagsBeforeFiles:
@@ -744,8 +750,10 @@ class TestPredictGathersOnePanel:
         assert run(["predict", "--artifact", str(art), "--input", str(panel),
                     "--output", str(pred), "--which", which]) == 0
         assert gathered == [times]
-        raw = prepare_scenario(_ingest_embedded(panel), scenario, standardize=False)
-        want = artifact.predict(artifact.load(art), getattr(raw, which))[0]
+        fitted = artifact.load(art)
+        prepared = prepare_scenario(_ingest_embedded(panel), scenario)
+        want = destandardize_response(predict_panel(
+            fitted.params[0], fitted.kind, getattr(prepared, which)), prepared.state)
         rows = list(csv.reader(pred.read_text().splitlines()[2:]))
         assert [float(r[3]) for r in rows] == want.ravel().tolist()
 
@@ -859,6 +867,21 @@ class TestMalformedPredictions:
         code, err = self.evaluate(synth_csv, tmp_path, capsys, rows, ["--tau", "0.5"])
         assert code == 2
         assert "line 9: duplicate row for " in err and "line 7" not in err
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda lines: lines.insert(3, lines[2]), "line 4: duplicate row for ('P1', 1999)"),
+        (lambda lines: lines.pop(2), "unbalanced panel: 1 missing rows, e.g. ('P1', 1999)"),
+    ], ids=["duplicate", "unbalanced"])
+    def test_malformed_actuals_name_their_file(self, synth_csv, tmp_path, capsys, edit,
+                                               message):
+        pred, actuals = tmp_path / "pred.csv", tmp_path / "actuals.csv"
+        pred.write_text("individual,period,tau,predicted\nP1,2000,,1.0\n")
+        lines = synth_csv.read_text().splitlines()
+        edit(lines)
+        actuals.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run(["evaluate", "--predictions", str(pred), "--actuals", str(actuals)]) == 2
+        assert capsys.readouterr().err == f"data error: {actuals}: {message}\n"
 
     def test_missing_file(self, synth_csv, tmp_path, capsys):
         absent = tmp_path / "absent.csv"
@@ -1048,21 +1071,10 @@ def test_byte_order_mark_before_the_preamble(synth_csv, tmp_path, capsys):
 class TestUnwritableOutput:
     """An output that cannot be written is a data error (exit 2): one line naming it."""
 
-    @pytest.mark.parametrize("command, flag", [
-        ("ingest", "--output"), ("synth", "--output"), ("synth", "--truth-output"),
-        ("train", "--output"), ("grid-search", "--output"), ("grid-search", "--table-output"),
-        ("predict", "--output"), ("evaluate", "--output"), ("evaluate", "--series-output"),
-    ])
-    def test_missing_directory_is_found_before_any_input_is_read(
-            self, tmp_path, capsys, monkeypatch, command, flag):
-        def no_read(*args, **kwargs):
-            raise AssertionError("read an input before the outputs were checked")
-
-        for module, name in ((paneldata, "_read_cells"), (artifact, "embedded_schema"),
-                             (artifact, "load")):
-            monkeypatch.setattr(module, name, no_read)
-        absent, out = str(tmp_path / "absent.csv"), str(tmp_path / "out")
-        argv = {
+    @staticmethod
+    def argv(command, absent, out):
+        """A command line that would read ``absent`` and write ``out``."""
+        return {
             "ingest": ["ingest", "--input", absent],
             "synth": ["synth", "--output", out],
             "train": ["train", "--input", absent, "--output", out],
@@ -1071,12 +1083,50 @@ class TestUnwritableOutput:
             "predict": ["predict", "--artifact", absent, "--input", absent, "--output", out],
             "evaluate": ["evaluate", "--predictions", absent, "--actuals", absent],
         }[command]
+
+    @pytest.fixture
+    def no_read(self, monkeypatch):
+        def no_read(*args, **kwargs):
+            raise AssertionError("read an input before the outputs were checked")
+
+        for module, name in ((paneldata, "_read_cells"), (artifact, "embedded_schema"),
+                             (artifact, "load")):
+            monkeypatch.setattr(module, name, no_read)
+
+    OUTPUTS = pytest.mark.parametrize("command, flag", [
+        ("ingest", "--output"), ("synth", "--output"), ("synth", "--truth-output"),
+        ("train", "--output"), ("grid-search", "--output"), ("grid-search", "--table-output"),
+        ("predict", "--output"), ("evaluate", "--output"), ("evaluate", "--series-output"),
+    ])
+
+    @OUTPUTS
+    def test_missing_directory_is_found_before_any_input_is_read(
+            self, tmp_path, capsys, no_read, command, flag):
+        argv = self.argv(command, str(tmp_path / "absent.csv"), str(tmp_path / "out"))
         missing = tmp_path / "missing"
         capsys.readouterr()
         assert run([*argv, flag, str(missing / "file")]) == 2
         assert capsys.readouterr().err == (
             f"data error: cannot write {missing / 'file'}: {missing} is not a directory\n")
         assert os.listdir(tmp_path) == []
+
+    @OUTPUTS
+    def test_existing_directory_is_found_before_any_input_is_read(
+            self, tmp_path, capsys, no_read, command, flag):
+        argv = self.argv(command, str(tmp_path / "absent.csv"), str(tmp_path / "out"))
+        directory = tmp_path / "adir"
+        directory.mkdir()
+        capsys.readouterr()
+        assert run([*argv, flag, str(directory)]) == 2
+        assert capsys.readouterr().err == f"data error: cannot write {directory}: Is a directory\n"
+        assert os.listdir(tmp_path) == ["adir"] and os.listdir(directory) == []
+
+    def test_output_the_system_refuses(self, synth_csv, tmp_path, capsys):
+        # Its directory exists, so only opening it finds the fault.
+        refused = tmp_path / ("x" * 300)
+        capsys.readouterr()
+        assert run(["ingest", "--input", str(synth_csv), "--output", str(refused)]) == 2
+        assert capsys.readouterr().err == f"data error: cannot write {refused}: File name too long\n"
 
     def test_output_that_cannot_be_opened(self, synth_csv, tmp_path, capsys):
         capsys.readouterr()

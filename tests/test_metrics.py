@@ -38,6 +38,10 @@ class TestRrmse:
         with pytest.raises(ValueError):
             rrmse([0.0, 0.0], [1.0, 2.0])
 
+    def test_length_mismatch(self):
+        with pytest.raises(ValueError, match="equal nonzero lengths, got 1 and 2"):
+            rrmse([1.0], [1.0, 2.0])
+
 
 class TestReport:
     def test_degenerate_one_by_one(self):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from psqrnn.paneldata import (
     PanelDataset,
     PanelSchema,
     SyntheticConfig,
-    apply_standardization,
     describe,
     destandardize_response,
     emit,
@@ -113,14 +113,14 @@ class TestIngest:
             "Beijing,1999,100,50,12.5",
             "Beijing,2001,110,55,12.9",
         ])
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match=f"^{re.escape(str(f))}: periods must be consecutive"):
             ingest(f, TOY_SCHEMA)
 
     def test_error_names_physical_line(self, tmp_path):
         f = tmp_path / "toy.csv"
         f.write_text("# preamble\nprovince,year,EC,GDP,AAT\n# note\n\n"
                      "Beijing,1999,100,50,12.5\nBeijing,2000,abc,55,12.9\n")
-        with pytest.raises(DataError, match="^line 6, column 'EC'"):
+        with pytest.raises(DataError, match=f"^{re.escape(str(f))}: line 6, column 'EC'"):
             ingest(f, TOY_SCHEMA)
 
     def test_round_trip(self, tmp_path):
@@ -242,7 +242,8 @@ class TestByteOrderMark:
                 ingest(path, TOY_SCHEMA)
             errors.append(str(info.value))
         line = 3 + preamble.count("\n")
-        assert errors == [f"line {line}, column 'EC': cannot parse 'abc' as a number"] * 2
+        assert errors == [f"{path}: line {line}, column 'EC': cannot parse 'abc' as a number"
+                          for path in (plain, marked)]
 
 
 class TestIngestMatchesRowwiseOracle:
@@ -550,8 +551,8 @@ class TestStandardize:
         train = make_panel(np.array([[0.0, 2.0]]))
         _, state = standardize(train)
         test = make_panel(np.array([[4.0, 4.0]]))
-        out = apply_standardization(test, state)
-        assert np.array_equal(out.y, [[3.0, 3.0]])
+        paneldata._standardize_in_place(test, state)
+        assert np.array_equal(test.y, [[3.0, 3.0]])
 
     def test_constant_column_named(self):
         ds = make_panel(np.ones((2, 3)), z=np.random.default_rng(0).standard_normal((2, 3, 1)))
