@@ -306,20 +306,21 @@ def cmd_evaluate(args) -> int:
     col_of = {per: j for j, per in enumerate(actuals_ds.periods)}
     unknown = [i for i in individuals if i not in row_of]
     if unknown:
-        raise DataError(f"actuals file lacks individuals {unknown}")
+        raise DataError(f"{args.actuals}: actuals file lacks individuals {unknown}")
     bad_periods = [p for p in periods if p not in col_of]
     if bad_periods:
-        raise DataError(f"actuals file lacks periods {bad_periods}")
+        raise DataError(f"{args.actuals}: actuals file lacks periods {bad_periods}")
     y, y_mask = actuals_ds.column(actuals_ds.response_name)
     cells = np.ix_([row_of[ind] for ind in individuals], [col_of[per] for per in periods])
     if y_mask[cells].any():
         a, b = np.argwhere(y_mask[cells])[0]
-        raise DataError(f"actual response missing for ({individuals[a]}, {periods[b]})")
+        raise DataError(f"{args.actuals}: actual response missing for "
+                        f"({individuals[a]}, {periods[b]})")
     act = y[cells]
     if (act == 0.0).any():
         a, b = np.argwhere(act == 0.0)[0]
-        raise DataError(f"actual response is zero for ({individuals[a]}, {periods[b]}); "
-                        "MAPE is undefined")
+        raise DataError(f"{args.actuals}: actual response is zero for "
+                        f"({individuals[a]}, {periods[b]}); MAPE is undefined")
     rep = metrics.report(act, pred)
     config = {
         "command": "evaluate", "predictions": args.predictions, "actuals": args.actuals,

@@ -76,11 +76,7 @@ class PanelSchema:
 
     def covariate_names(self) -> tuple[str, ...]:
         """Physical covariate columns, deduplicated, order of first use."""
-        seen = []
-        for name in (*self.parametric, *self.network):
-            if name not in seen:
-                seen.append(name)
-        return tuple(seen)
+        return tuple(dict.fromkeys((*self.parametric, *self.network)))
 
 
 DEFAULT_SCHEMA = PanelSchema()
@@ -155,11 +151,7 @@ class PanelDataset:
 
     def physical_names(self) -> tuple[str, ...]:
         """Response plus deduplicated covariate columns, stable order."""
-        seen = [self.response_name]
-        for name in (*self.z_names, *self.x_names):
-            if name not in seen:
-                seen.append(name)
-        return tuple(seen)
+        return tuple(dict.fromkeys((self.response_name, *self.z_names, *self.x_names)))
 
     def column(self, name: str) -> tuple[np.ndarray, np.ndarray]:
         """(values, mask) of one physical column, each shaped (N, T)."""

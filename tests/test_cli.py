@@ -649,8 +649,10 @@ class TestPredictEvaluate:
         argv = self.evaluate_2x2(tmp_path, [[100.0, 200.0], [50.0, 0.0]])
         capsys.readouterr()
         assert run(argv) == 2
-        err = capsys.readouterr().err
-        assert "actual response is zero for (b, 2001); MAPE is undefined" in err
+        actuals = argv[argv.index("--actuals") + 1]
+        assert capsys.readouterr().err == (
+            f"data error: {actuals}: actual response is zero for (b, 2001); "
+            "MAPE is undefined\n")
 
     def test_evaluate_tau_without_rows_names_the_file(self, tmp_path, capsys):
         argv = self.evaluate_2x2(tmp_path, [[100.0, 200.0], [50.0, 80.0]])
@@ -667,7 +669,19 @@ class TestPredictEvaluate:
             handle.write("a,2002,,1.0\nb,2002,,1.0\n")
         capsys.readouterr()
         assert run(argv) == 2
-        assert capsys.readouterr().err == "data error: actuals file lacks periods [2002]\n"
+        actuals = argv[argv.index("--actuals") + 1]
+        assert capsys.readouterr().err == (
+            f"data error: {actuals}: actuals file lacks periods [2002]\n")
+
+    def test_evaluate_actuals_lacking_an_individual(self, tmp_path, capsys):
+        argv = self.evaluate_2x2(tmp_path, [[100.0, 200.0], [50.0, 80.0]])
+        with open(tmp_path / "pred.csv", "a") as handle:
+            handle.write("c,2000,,1.0\nc,2001,,1.0\n")
+        capsys.readouterr()
+        assert run(argv) == 2
+        actuals = argv[argv.index("--actuals") + 1]
+        assert capsys.readouterr().err == (
+            f"data error: {actuals}: actuals file lacks individuals ['c']\n")
 
     def test_evaluate_misaligned_keys(self, synth_csv, tmp_path):
         pred = tmp_path / "pred.csv"
@@ -710,8 +724,9 @@ class TestPredictEvaluate:
         capsys.readouterr()
         assert run(["evaluate", "--predictions", str(pred),
                     "--actuals", str(synth_csv)]) == 2
-        err = capsys.readouterr().err
-        assert f"actual response missing for ({ds.individuals[1]}, {ds.periods[19]})" in err
+        assert capsys.readouterr().err == (
+            f"data error: {synth_csv}: actual response missing for "
+            f"({ds.individuals[1]}, {ds.periods[19]})\n")
 
     def test_series_output(self, synth_csv, tmp_path):
         pred = tmp_path / "pred.csv"

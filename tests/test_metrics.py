@@ -105,3 +105,62 @@ class TestReport:
         d = rep.to_dict()
         assert d["total_mape"] == rep.total_mape
         assert isinstance(d["mape_by_individual"], list)
+
+
+def _rowwise_mape(actual, predicted):
+    actual = np.asarray(actual, dtype=float).ravel()
+    predicted = np.asarray(predicted, dtype=float).ravel()
+    return float(np.mean(np.abs((actual - predicted) / actual)))
+
+
+def _rowwise_rrmse(actual, predicted):
+    actual = np.asarray(actual, dtype=float).ravel()
+    predicted = np.asarray(predicted, dtype=float).ravel()
+    resid = actual - predicted
+    return float(np.sqrt(np.sum(resid * resid)) / np.sqrt(float(np.sum(actual * actual))))
+
+
+def rowwise_report(actuals, predictions) -> dict:
+    """The report's fields, each series scored on its own as a 1-d vector."""
+    fields = {}
+    for score, name in ((_rowwise_mape, "mape"), (_rowwise_rrmse, "rrmse")):
+        by_ind = np.array([score(a, p) for a, p in zip(actuals, predictions)])
+        fields[f"{name}_by_individual"] = by_ind
+        fields[f"{name}_by_period"] = np.array(
+            [score(a, p) for a, p in zip(actuals.T, predictions.T)])
+        fields[f"total_{name}"] = score(actuals.ravel(), predictions.ravel())
+        fields[f"{name}_mean"] = float(np.mean(by_ind))
+        fields[f"{name}_std"] = float(np.std(by_ind))
+    return fields
+
+
+class TestReportMatchesRowwiseScores:
+    """Every slice of ``report`` has the bits of scoring each series on its own."""
+
+    @staticmethod
+    def assert_same_bits(actual, predicted):
+        rep = report(actual, predicted)
+        for name, expected in rowwise_report(actual, predicted).items():
+            got = getattr(rep, name)
+            if isinstance(expected, np.ndarray):
+                assert got.dtype == expected.dtype and got.shape == expected.shape, name
+                assert got.tobytes() == expected.tobytes(), name
+            else:
+                assert type(got) is float and got == expected, name
+
+    def test_random_shapes(self, rng):
+        for _ in range(25):
+            n, h = int(rng.integers(9, 400)), int(rng.integers(9, 60))
+            actual = rng.uniform(0.5, 3.0, (n, h)) * 10.0 ** int(rng.integers(-2, 4))
+            predicted = actual * (1.0 + rng.standard_normal((n, h)) * 0.3)
+            self.assert_same_bits(actual, predicted)
+
+    def test_large_panel_shape(self, rng):
+        actual = rng.uniform(20.0, 80.0, (1000, 5))
+        self.assert_same_bits(actual, actual + rng.standard_normal((1000, 5)))
+
+    def test_non_contiguous_inputs(self, rng):
+        actual = rng.uniform(1.0, 2.0, (40, 30))
+        predicted = actual + rng.standard_normal((40, 30)) * 0.1
+        self.assert_same_bits(np.asfortranarray(actual), predicted[:, ::-1])
+        self.assert_same_bits(actual[::2, ::3], predicted[1::2, ::3])

@@ -184,6 +184,26 @@ class TestTrainPredictEvaluate:
         with pytest.raises(ConfigError, match="subset"):
             evaluate_split(trained, subset)
 
+    def test_scenario3_test_panel_is_not_evaluated(self):
+        # Scenario 3's test targets lie beyond the panel, so no response is observed.
+        ds, _ = noiseless_linear_panel()
+        trained = train_model(prepare_scenario(ds, 3), ModelKind.LINEAR, TauGrid.single(0.5),
+                              PenaltyConfig(), None, TrainConfig(restarts=1, max_iters_per_stage=1))
+        with pytest.raises(DataError, match="^panel has unobserved response values; "
+                                            "nothing to evaluate$"):
+            evaluate_split(trained, "test")
+        assert evaluate_split(trained, "train").predictions.shape == (3, 10)
+
+    def test_unstandardized_beta_is_an_equal_copy(self):
+        ds, _ = noiseless_linear_panel()
+        trained = train_model(prepare_scenario(ds, 1, standardize=False), ModelKind.LINEAR,
+                              TauGrid.single(0.5), PenaltyConfig(), None,
+                              TrainConfig(restarts=1, max_iters_per_stage=1))
+        fitted = trained.fits[0].params.beta
+        beta = beta_original_scale(trained)
+        assert beta.tobytes() == fitted.tobytes()
+        assert not np.shares_memory(beta, fitted)
+
     def test_per_tau_fits(self):
         ds, _ = noiseless_linear_panel()
         prep = prepare_scenario(ds, 1)
